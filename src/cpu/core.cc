@@ -6,7 +6,6 @@
 
 #include "support/error.hh"
 #include "support/logging.hh"
-#include "trace/replay_batch.hh"
 
 namespace mosaic::cpu
 {
@@ -80,8 +79,8 @@ class RetireHistory
 
 /**
  * Read the PMU counters of one finished replay back out of the
- * machine's MMU and hierarchy. Shared by the sequential and fused
- * engines so both produce the readout through identical code.
+ * machine's MMU and hierarchy. Shared by run() and runInterleaved()
+ * so both produce the readout through identical code.
  */
 RunResult
 readoutCounters(const trace::MemoryTrace &trace, double retire_clock,
@@ -120,11 +119,10 @@ readoutCounters(const trace::MemoryTrace &trace, double retire_clock,
 }
 
 /**
- * Cooperative watchdog check, shared by both replay engines. Called
- * once per chunk — a time query every ~1k simulated records per lane
- * — so the hot record loop stays branch-free of clock reads. The
- * overshoot bound past an expired deadline is therefore one chunk of
- * cold walks (kChunkRecords records on one lane), not a block.
+ * Cooperative watchdog check. Called once per chunk — a time query
+ * every kChunkRecords simulated records — so the hot record loop stays
+ * branch-free of clock reads. The overshoot bound past an expired
+ * deadline is therefore one chunk of cold walks.
  */
 inline void
 checkDeadline(std::chrono::steady_clock::time_point deadline)
@@ -136,59 +134,14 @@ checkDeadline(std::chrono::steady_clock::time_point deadline)
 }
 
 /**
- * Record sources the replay kernels draw from. Both present the same
- * three per-record fields; the arithmetic consuming them is shared
- * (LaneEngine), so which source feeds a run can never change a
- * counter. The SoA form is the fused path's staged block (decoded
- * once, consumed by every lane); the AoS form reads the trace
- * in place, sparing the sequential path the restaging copy.
- */
-struct SoaRecords
-{
-    const trace::ReplayBatcher::Chunk &chunk;
-
-    std::size_t size() const { return chunk.size; }
-    VirtAddr vaddrAt(std::size_t i) const { return chunk.vaddr[i]; }
-    std::uint64_t
-    instsAt(std::size_t i) const
-    {
-        return (chunk.meta[i] & trace::ReplayBatcher::kGapMask) + 1;
-    }
-    bool
-    dependsAt(std::size_t i) const
-    {
-        return chunk.meta[i] & trace::ReplayBatcher::kDependsBit;
-    }
-    bool
-    writeAt(std::size_t i) const
-    {
-        return chunk.meta[i] & trace::ReplayBatcher::kWriteBit;
-    }
-};
-
-struct AosRecords
-{
-    const trace::TraceRecord *recs;
-    std::size_t count;
-
-    std::size_t size() const { return count; }
-    VirtAddr vaddrAt(std::size_t i) const { return recs[i].vaddr; }
-    std::uint64_t
-    instsAt(std::size_t i) const
-    {
-        return static_cast<std::uint64_t>(recs[i].gap) + 1;
-    }
-    bool dependsAt(std::size_t i) const { return recs[i].dependsOnPrev; }
-    bool writeAt(std::size_t i) const { return recs[i].isWrite; }
-};
-
-/**
- * Per-lane replay engine: the machine references, staging buffers, and
- * timing-model state of one simulated platform/mosaic cell, plus the
- * per-chunk stage/retire kernels. run() drives exactly one of these;
- * runFused() drives one per lane. Sharing the kernel bodies makes the
- * two engines arithmetic-identical *by construction* — there is one
- * per-record update sequence, not two kept in sync by review.
+ * Per-machine replay engine: the machine references, staging buffers,
+ * and timing-model state of one simulated platform/mosaic cell, plus
+ * the chunked replay loop and its stage/retire kernels. run() and
+ * runSampled() drive one of these; runInterleaved() drives one per
+ * tenant. All three replay through the same replay() loop, so there
+ * is one per-record update sequence, not several kept in sync by
+ * review. Records are read in place from the trace (no restaging
+ * copy).
  */
 struct LaneEngine
 {
@@ -232,9 +185,9 @@ struct LaneEngine
           l1Latency(hier.config().latencies.l1),
           outstanding(core_params.maxOutstanding, 0.0),
           history(core_params.robInstructions),
-          stagedData(trace::ReplayBatcher::kChunkRecords),
-          stagedEntry(trace::ReplayBatcher::kChunkRecords),
-          stagedSize(trace::ReplayBatcher::kChunkRecords)
+          stagedData(CoreModel::kChunkRecords),
+          stagedEntry(CoreModel::kChunkRecords),
+          stagedSize(CoreModel::kChunkRecords)
     {
     }
 
@@ -243,9 +196,8 @@ struct LaneEngine
      * are independent (unlike the timing loop), so the host pipelines
      * the memo misses, and the timing loop then finds every slot warm.
      */
-    template <class Records>
     inline void
-    stageChunk(const Records &src)
+    stageChunk(std::span<const trace::TraceRecord> src)
     {
         const std::size_t n = src.size();
         PhysAddr *staged_data = stagedData.data();
@@ -253,9 +205,9 @@ struct LaneEngine
         alloc::PageSize *staged_size = stagedSize.data();
         for (std::size_t i = 0; i < n; ++i) {
             if (i + 8 < n)
-                mmu.prefetchXlate(src.vaddrAt(i + 8));
+                mmu.prefetchXlate(src[i + 8].vaddr);
             const vm::Mmu::StagedXlate xlate =
-                mmu.peekTranslate(src.vaddrAt(i));
+                mmu.peekTranslate(src[i].vaddr);
             staged_data[i] = xlate.physAddr;
             staged_entry[i] = xlate.leafEntry;
             staged_size[i] = xlate.pageSize;
@@ -277,9 +229,9 @@ struct LaneEngine
      *         no paging branches — the safety rail the golden
      *         counters and the bench ratchet enforce.
      */
-    template <bool Paged, class Records>
+    template <bool Paged>
     inline void
-    retireChunk(const Records &src)
+    retireChunk(std::span<const trace::TraceRecord> src)
     {
         const double base_cpi = params.baseCpi;
         const unsigned rob_instructions = params.robInstructions;
@@ -305,9 +257,10 @@ struct LaneEngine
                         staged_entry[i + kPrefetchAhead]);
             }
 
-            const VirtAddr vaddr = src.vaddrAt(i);
+            const trace::TraceRecord &rec = src[i];
+            const VirtAddr vaddr = rec.vaddr;
 
-            std::uint64_t insts = src.instsAt(i);
+            std::uint64_t insts = static_cast<std::uint64_t>(rec.gap) + 1;
             double work = base_cpi * static_cast<double>(insts);
             workClock += work;
             instIndex += insts;
@@ -323,7 +276,7 @@ struct LaneEngine
             // Pointer-chase step: the address comes from the previous
             // reference's data, so it cannot issue until that
             // completes.
-            if (src.dependsAt(i))
+            if (rec.dependsOnPrev)
                 issue = std::max(issue, prevCompletion);
 
             // Address translation (TLB lookup, possibly a hardware
@@ -332,7 +285,7 @@ struct LaneEngine
             // live page table.
             vm::TranslationEvent xlat;
             if constexpr (Paged) {
-                xlat = mmu.translatePaged(vaddr, src.writeAt(i),
+                xlat = mmu.translatePaged(vaddr, rec.isWrite,
                                           static_cast<Cycles>(issue));
                 if (xlat.swapStall > 0) {
                     // A major fault traps to the OS and services the
@@ -374,6 +327,37 @@ struct LaneEngine
             history.push(instIndex, retireClock);
         }
     }
+
+    /**
+     * Replay records [from, to) of @p trace in kChunkRecords chunks,
+     * checking @p deadline before each. Paged machines retire through
+     * the demand-fault path (their translations must see the live page
+     * table, not a staged snapshot); unbounded ones stage each chunk
+     * first. Chunk boundaries cannot change a counter — staging is
+     * pure and prefetch hints never touch simulated state — so callers
+     * may split a replay into ranges anywhere.
+     */
+    void
+    replay(const trace::MemoryTrace &trace, std::uint64_t from,
+           std::uint64_t to, std::chrono::steady_clock::time_point deadline)
+    {
+        const std::span<const trace::TraceRecord> records =
+            trace.records();
+        const bool paged = mmu.paged();
+        for (std::uint64_t base = from; base < to;
+             base += CoreModel::kChunkRecords) {
+            checkDeadline(deadline);
+            const auto chunk = records.subspan(
+                base, std::min<std::uint64_t>(CoreModel::kChunkRecords,
+                                              to - base));
+            if (paged) {
+                retireChunk<true>(chunk);
+            } else {
+                stageChunk(chunk);
+                retireChunk<false>(chunk);
+            }
+        }
+    }
 };
 
 } // namespace
@@ -384,28 +368,7 @@ CoreModel::run(const trace::MemoryTrace &trace, vm::Mmu &mmu,
                std::chrono::steady_clock::time_point deadline)
 {
     LaneEngine lane(mmu, hierarchy, params_);
-
-    // Sequential replay reads the trace in place (no restaging copy:
-    // the SoA batcher pays off only when several lanes consume one
-    // decode). Same chunk granularity as the batcher, so the staging
-    // buffers and watchdog cadence match the fused path.
-    const trace::TraceRecord *records = trace.records().data();
-    const std::size_t total = trace.size();
-    const bool paged = mmu.paged();
-    for (std::size_t base = 0; base < total;
-         base += trace::ReplayBatcher::kChunkRecords) {
-        checkDeadline(deadline);
-        AosRecords src{records + base,
-                       std::min(trace::ReplayBatcher::kChunkRecords,
-                                total - base)};
-        if (paged) {
-            lane.retireChunk<true>(src);
-        } else {
-            lane.stageChunk(src);
-            lane.retireChunk<false>(src);
-        }
-    }
-
+    lane.replay(trace, 0, trace.size(), deadline);
     return readoutCounters(trace, lane.retireClock, mmu, hierarchy);
 }
 
@@ -487,30 +450,6 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
 
     const trace::TraceRecord *records = trace.records().data();
     const std::size_t total = trace.size();
-    const bool paged = mmu.paged();
-
-    // Replay [from, to) through the shared LaneEngine kernels, chunked
-    // like run(). Chunk partitioning cannot change a counter (staging
-    // is pure, prefetch hints never touch simulated state — the
-    // invariant the fused engine already rests on), so boundaries at
-    // segment edges instead of multiples of kChunkRecords are safe.
-    auto replay_range = [&](std::uint64_t from, std::uint64_t to) {
-        for (std::uint64_t base = from; base < to;
-             base += trace::ReplayBatcher::kChunkRecords) {
-            checkDeadline(deadline);
-            AosRecords src{records + base,
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(
-                                   trace::ReplayBatcher::kChunkRecords,
-                                   to - base))};
-            if (paged) {
-                lane.retireChunk<true>(src);
-            } else {
-                lane.stageChunk(src);
-                lane.retireChunk<false>(src);
-            }
-        }
-    };
 
     std::vector<RunResult> results;
     results.reserve(segments.size());
@@ -523,9 +462,9 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
                       "sampled segment out of range");
         prev_end = seg.end;
 
-        replay_range(seg.warmupBegin, seg.measureBegin);
+        lane.replay(trace, seg.warmupBegin, seg.measureBegin, deadline);
         const BoundarySnapshot before = takeSnapshot(lane);
-        replay_range(seg.measureBegin, seg.end);
+        lane.replay(trace, seg.measureBegin, seg.end, deadline);
         const BoundarySnapshot after = takeSnapshot(lane);
 
         Insts insts = 0;
@@ -533,66 +472,6 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
             insts += static_cast<Insts>(records[i].gap) + 1;
         results.push_back(deltaReadout(before, after, insts,
                                        seg.end - seg.measureBegin));
-    }
-    return results;
-}
-
-std::vector<RunResult>
-CoreModel::runFused(const trace::MemoryTrace &trace,
-                    std::span<const FusedLane> lanes,
-                    std::chrono::steady_clock::time_point deadline)
-{
-    const std::size_t num_lanes = lanes.size();
-
-    std::vector<LaneEngine> states;
-    states.reserve(num_lanes);
-    for (const FusedLane &lane : lanes) {
-        mosaic_assert(lane.mmu && lane.hierarchy,
-                      "fused lane without a machine");
-        states.emplace_back(*lane.mmu, *lane.hierarchy, params_);
-    }
-
-    // Lane-blocked fan-out: decode a block of chunks once, then run
-    // every lane over the whole block before decoding the next. One
-    // lane's hot simulator state (TLB arrays, cache tags, memo slots)
-    // stays host-cache-resident for kFanoutChunks * kChunkRecords
-    // consecutive records instead of being evicted by its siblings
-    // after every record; the block itself is decoded num_lanes times
-    // less often than run() would decode it. The stage/retire kernels
-    // are the same LaneEngine code run() executes, so each lane's
-    // arithmetic is identical to a dedicated sequential run.
-    trace::ReplayBatcher batcher(trace);
-    trace::ReplayBatcher::Block block;
-    while (batcher.nextBlock(block)) {
-        for (LaneEngine &state : states) {
-            for (std::size_t c = 0; c < block.chunks; ++c) {
-                // Per chunk per lane, matching run()'s cadence. A
-                // per-block check was kFanoutChunks * num_lanes
-                // chunks apart: a one-block trace fanned across many
-                // lanes would verify the deadline exactly once,
-                // before any simulation, and an expiry mid-block
-                // could overshoot by the whole block's cold walks.
-                checkDeadline(deadline);
-                SoaRecords src{block.chunk[c]};
-                // Paged lanes (each with its own attached pool state)
-                // skip staging: their translations must see the live
-                // page table, not a memoized snapshot.
-                if (state.mmu.paged()) {
-                    state.retireChunk<true>(src);
-                } else {
-                    state.stageChunk(src);
-                    state.retireChunk<false>(src);
-                }
-            }
-        }
-    }
-
-    std::vector<RunResult> results;
-    results.reserve(num_lanes);
-    for (const LaneEngine &state : states) {
-        results.push_back(readoutCounters(trace, state.retireClock,
-                                          state.mmu,
-                                          state.hierarchy));
     }
     return results;
 }
@@ -628,13 +507,10 @@ CoreModel::runInterleaved(std::span<const TenantLane> lanes,
             const std::size_t total = trace.size();
             if (cursor[t] >= total)
                 continue;
-            checkDeadline(deadline);
-            AosRecords src{
-                trace.records().data() + cursor[t],
-                std::min(trace::ReplayBatcher::kChunkRecords,
-                         total - cursor[t])};
-            states[t].retireChunk<true>(src);
-            cursor[t] += src.size();
+            const std::size_t next =
+                std::min(cursor[t] + kChunkRecords, total);
+            states[t].replay(trace, cursor[t], next, deadline);
+            cursor[t] = next;
             any_left = any_left || cursor[t] < total;
         }
     }

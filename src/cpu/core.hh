@@ -85,18 +85,6 @@ struct RunResult
 };
 
 /**
- * One layout lane of a fused multi-layout replay: the mutable machine
- * state (MMU + cache hierarchy) a fused pass drives for that layout.
- * Both structures must be freshly constructed (or flushed), exactly as
- * CoreModel::run requires.
- */
-struct FusedLane
-{
-    vm::Mmu *mmu = nullptr;
-    mem::MemoryHierarchy *hierarchy = nullptr;
-};
-
-/**
  * One measured slice of a sampled replay (record indexes into the
  * trace, [warmupBegin, end) replayed in order):
  *
@@ -124,6 +112,10 @@ struct SampledSegment
 class CoreModel
 {
   public:
+    /** Records replayed per chunk: the unit of translation staging,
+     *  of the watchdog check, and of multi-tenant interleaving. */
+    static constexpr std::size_t kChunkRecords = 1024;
+
     explicit CoreModel(const CoreParams &params);
 
     /**
@@ -133,44 +125,16 @@ class CoreModel
      * per run; counters are read back into the RunResult.
      *
      * @p deadline is a cooperative watchdog: it is checked once per
-     * replay chunk (~1k records, negligible cost) and, once passed,
-     * the run throws TimeoutError. The default never expires.
+     * replay chunk (kChunkRecords records, negligible cost) and, once
+     * passed, the run throws TimeoutError. The overshoot past an
+     * expired deadline is thus bounded by one chunk of cold walks —
+     * serve's per-query timeouts rely on this bound. The default
+     * never expires.
      */
     RunResult run(const trace::MemoryTrace &trace, vm::Mmu &mmu,
                   mem::MemoryHierarchy &hierarchy,
                   std::chrono::steady_clock::time_point deadline =
                       std::chrono::steady_clock::time_point::max());
-
-    /**
-     * Replay @p trace once, driving every lane in @p lanes through the
-     * same single pass over the staged replay chunks.
-     *
-     * Lanes are fully independent machines: per record, each lane
-     * performs exactly the operations (in exactly the order, including
-     * floating-point order) that a dedicated run() would perform, so
-     * every lane's RunResult is bit-identical to a sequential run over
-     * the same (mmu, hierarchy) pair — the fused golden tests enforce
-     * this. The pass iterates lane-blocked over decoded fan-out blocks
-     * (ReplayBatcher::nextBlock): each block is decoded once and every
-     * lane consumes it while its own simulator state stays
-     * host-cache-hot, and the timing loop retires each record through
-     * the staged translation (Mmu::translateStaged) instead of a
-     * second memo lookup.
-     *
-     * Returns one RunResult per lane, in lane order.
-     *
-     * @p deadline is the same cooperative watchdog as run()'s,
-     * checked once per chunk per lane. The overshoot past an expired
-     * deadline is thus bounded by one chunk of one lane's cold walks
-     * (ReplayBatcher::kChunkRecords records), not by a whole fan-out
-     * block times the lane count — serve's per-query timeouts rely on
-     * this bound.
-     */
-    std::vector<RunResult> runFused(
-        const trace::MemoryTrace &trace,
-        std::span<const FusedLane> lanes,
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max());
 
     /**
      * Sampled (partial) replay: drive only the given segments of
@@ -211,11 +175,11 @@ class CoreModel
     /**
      * Multi-tenant interference replay: drive every tenant's trace
      * through its own machine, round-robin interleaved at replay-chunk
-     * granularity (~1k records per turn), so their demand faults
-     * contend for the shared frame pool in a fixed, deterministic
-     * order. Tenants whose traces are longer keep running alone after
-     * shorter ones finish. Returns one RunResult per tenant, in lane
-     * order.
+     * granularity (kChunkRecords records per turn), so their demand
+     * faults contend for the shared frame pool in a fixed,
+     * deterministic order. Tenants whose traces are longer keep
+     * running alone after shorter ones finish. Returns one RunResult
+     * per tenant, in lane order.
      */
     std::vector<RunResult> runInterleaved(
         std::span<const TenantLane> lanes,

@@ -91,14 +91,8 @@ class System
     const SimContext &context() const { return context_; }
 
   private:
-    /** The fused engine drives this System's machine state directly. */
-    friend std::vector<Result<RunResult>> simulateRunFused(
-        const PlatformSpec &platform,
-        std::span<const alloc::MosallocConfig> alloc_configs,
-        const trace::MemoryTrace &trace, const vm::OsConfig &os,
-        const SimContext &context);
-
-    /** So does the multi-tenant interference engine. */
+    /** The multi-tenant interference engine drives this System's
+     *  machine state directly. */
     friend std::vector<RunResult> simulateRunTenants(
         const PlatformSpec &platform,
         std::span<const alloc::MosallocConfig> alloc_configs,
@@ -144,51 +138,6 @@ RunResult simulateRun(const PlatformSpec &platform,
                       const trace::MemoryTrace &trace,
                       const vm::OsConfig &os,
                       const SimContext &context = globalSimContext());
-
-/**
- * Fused multi-layout replay: build one System per entry of
- * @p alloc_configs and drive all of them through a *single* pass over
- * @p trace (CoreModel::runFused) instead of one full replay per
- * layout.
- *
- * Per-layout semantics are untouched: every returned RunResult is
- * bit-identical to what simulateRun(platform, alloc_configs[i], trace)
- * would produce — the fused golden tests enforce this — so callers may
- * freely substitute a fused pass for a per-layout loop.
- *
- * Failures are isolated per lane: a layout whose machine cannot be
- * built (bad config, injected "sim-lane" fault) yields an error slot
- * while its siblings still replay and stay bit-identical to their
- * sequential results. The returned vector parallels @p alloc_configs.
- *
- * Observability (through @p context's sink): a "replay/fused_pass"
- * phase per pass, a "replay/fused_layouts" gauge (lanes in the last
- * pass), "replay/fused_passes" / "replay/fused_lane_runs" counters,
- * and the same per-lane "replay/..." counter totals System::run would
- * publish.
- */
-std::vector<Result<RunResult>>
-simulateRunFused(const PlatformSpec &platform,
-                 std::span<const alloc::MosallocConfig> alloc_configs,
-                 const trace::MemoryTrace &trace,
-                 const SimContext &context = globalSimContext());
-
-/**
- * As above with OS-level memory management. Each bounded lane pages
- * over its *own* private frame pool (per-lane pool state): fused
- * lanes model independent machines, and sharing a pool across layout
- * lanes would let one layout's evictions perturb another's counters.
- * For deliberate cross-address-space contention use
- * simulateRunTenants(). A lane that exhausts its pool (ResourceError)
- * yields an error slot with ErrorCategory::Resource; siblings replay
- * unaffected.
- */
-std::vector<Result<RunResult>>
-simulateRunFused(const PlatformSpec &platform,
-                 std::span<const alloc::MosallocConfig> alloc_configs,
-                 const trace::MemoryTrace &trace,
-                 const vm::OsConfig &os,
-                 const SimContext &context = globalSimContext());
 
 /**
  * Multi-tenant interference run: build one machine per tenant, all

@@ -751,46 +751,6 @@ CampaignRunner::runImpl(const std::string *cache_path)
             ++pair.cellsRemaining;
         }
     }
-    // The scheduler hands out *units*: `count` consecutive cells of
-    // one pair, starting at cell index `begin`. With fused replay off
-    // every unit is a single cell; with it on, a fully-open pair's
-    // cells are grouped so one worker replays the whole group through
-    // a single shared-trace pass. Pairs with resumed cells keep
-    // per-cell units — their open layouts may be non-consecutive, and
-    // per-cell scheduling leaves the resume-splice bookkeeping
-    // untouched. Units never change which slot a result lands in, so
-    // the canonical assembly below is oblivious to the grouping.
-    struct Unit
-    {
-        std::size_t begin;
-        std::size_t count;
-    };
-
-    // Fused grouping is a single-tenant full-replay optimization:
-    // tenant cells already replay two traces per cell through the
-    // interleaved engine, and sampled cells replay a partial pass per
-    // layout (there is no fused sampled engine) — both keep per-cell
-    // units, the fused flag accepted but inert, so --fused on a
-    // sampled campaign still yields the byte-identical CSV.
-    const std::size_t group_size =
-        config_.fused && !co_tenant && !sampled
-            ? std::max<std::size_t>(config_.fusedGroupSize, 1)
-            : 1;
-    std::vector<Unit> units;
-    for (std::size_t i = 0; i < cells.size();) {
-        std::size_t count = 1;
-        if (!pairs[cells[i].pair].done) {
-            // Cells of one fully-open pair are grouped in cell-vector
-            // order; under sharding the owned layouts of a pair are
-            // strided, but a fused pass over non-consecutive layouts
-            // is exactly as valid (every lane is independent).
-            while (count < group_size && i + count < cells.size() &&
-                   cells[i + count].pair == cells[i].pair)
-                ++count;
-        }
-        units.push_back({i, count});
-        i += count;
-    }
 
     // Pairs this run resolves: ones with open cells plus ones whose
     // prep failed. Both advance the checkpoint cadence, as in the
@@ -808,7 +768,7 @@ CampaignRunner::runImpl(const std::string *cache_path)
 
     std::vector<CellOutcome> slots(cells.size());
     std::mutex progress_mutex;
-    std::atomic<std::size_t> next_unit{0};
+    std::atomic<std::size_t> next_cell{0};
     std::size_t cells_done = 0;
     std::size_t pairs_done = 0;
     std::size_t since_checkpoint = 0;
@@ -932,22 +892,36 @@ CampaignRunner::runImpl(const std::string *cache_path)
     }
 
     const unsigned cell_jobs = std::min<unsigned>(
-        jobs, std::max<std::size_t>(units.size(), 1));
+        jobs, std::max<std::size_t>(cells.size(), 1));
     std::vector<MetricsRegistry> cell_shards(cell_jobs);
     runPool(cell_jobs, [&](unsigned worker) {
         MetricsRegistry &shard = cell_shards[worker];
         SimContext context(shard, faults(), config_.seed, worker);
 
-        // Simulate one cell on the sequential engine, outside any
-        // lock: each worker owns its System; the trace and layout are
-        // shared immutable.
-        auto simulateCell = [&](std::size_t index,
-                                const SimContext &cell_context)
-            -> CellOutcome {
+        while (true) {
+            std::size_t index = next_cell.fetch_add(1);
+            if (index >= cells.size())
+                return;
             const Cell &cell = cells[index];
-            const PairTask &pair = pairs[cell.pair];
+            PairTask &pair = pairs[cell.pair];
             const WorkloadState &state = states[pair.state];
             const auto &named = state.layouts[cell.layout];
+
+            // The cooperative deadline is checked inside the replay
+            // loops (per chunk), so an expired budget surfaces here as
+            // TimeoutError.
+            SimContext cell_context = context;
+            if (config_.cellTimeoutSeconds > 0.0) {
+                auto budget = std::chrono::duration_cast<
+                    std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(
+                        config_.cellTimeoutSeconds));
+                cell_context = context.withDeadline(
+                    std::chrono::steady_clock::now() + budget);
+            }
+
+            // Simulate outside any lock: each worker owns its System;
+            // the trace and layout are shared immutable.
             CellOutcome outcome;
             ScopedTimer cell_timer(shard, "campaign/cell");
             try {
@@ -989,109 +963,15 @@ CampaignRunner::runImpl(const std::string *cache_path)
                                 Error(ErrorCategory::Internal, e.what())};
             }
             cell_timer.stop();
-            return outcome;
-        };
-
-        while (true) {
-            std::size_t uindex = next_unit.fetch_add(1);
-            if (uindex >= units.size())
-                return;
-            const Unit &unit = units[uindex];
-            PairTask &pair = pairs[cells[unit.begin].pair];
-            const WorkloadState &state = states[pair.state];
-
-            // A unit of k cells gets k cell budgets; the cooperative
-            // deadline is checked inside the replay loops (per chunk),
-            // so an expired budget surfaces here as TimeoutError.
-            SimContext unit_context = context;
-            if (config_.cellTimeoutSeconds > 0.0) {
-                auto budget = std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        config_.cellTimeoutSeconds *
-                        static_cast<double>(unit.count)));
-                unit_context = context.withDeadline(
-                    std::chrono::steady_clock::now() + budget);
-            }
-
-            std::vector<CellOutcome> outcomes(unit.count);
-            if (unit.count > 1) {
-                // Fused group: decode the shared trace once and drive
-                // every layout lane through a single pass. A lane that
-                // fails (or a group that cannot even assemble its
-                // configs) leaves its outcome empty here and is re-run
-                // on the sequential engine below, so fused scheduling
-                // can only ever add results, never lose them — the CSV
-                // stays byte-identical to a non-fused run.
-                try {
-                    std::vector<alloc::MosallocConfig> configs;
-                    configs.reserve(unit.count);
-                    for (std::size_t k = 0; k < unit.count; ++k) {
-                        const auto &named =
-                            state.layouts[cells[unit.begin + k].layout];
-                        configs.push_back(
-                            state.workload->makeAllocConfig(
-                                named.layout));
-                    }
-                    ScopedTimer group_timer(shard,
-                                            "campaign/fused_group");
-                    auto lanes = cpu::simulateRunFused(
-                        *pair.platform, configs, *state.trace,
-                        config_.os, unit_context);
-                    group_timer.stop();
-                    shard.add("campaign/fused_groups");
-                    for (std::size_t k = 0; k < unit.count; ++k) {
-                        if (!lanes[k].ok()) {
-                            shard.add("campaign/fused_lane_fallbacks");
-                            continue;
-                        }
-                        const auto &named =
-                            state.layouts[cells[unit.begin + k].layout];
-                        RunRecord record;
-                        record.platform = pair.platform->name;
-                        record.workload = state.label;
-                        record.layout = named.name;
-                        record.result =
-                            std::move(lanes[k]).okOrThrow();
-                        outcomes[k].record = std::move(record);
-                    }
-                } catch (const TimeoutError &e) {
-                    // The fused pass blew the unit's whole watchdog
-                    // budget: mark every cell as an isolated Timeout
-                    // failure. No sequential fallback — replaying a
-                    // genuinely hung group cell by cell would only
-                    // multiply the wasted wall-clock.
-                    shard.add("campaign/cells_timed_out", unit.count);
-                    shard.add("campaign/cells_failed", unit.count);
-                    for (std::size_t k = 0; k < unit.count; ++k) {
-                        const auto &named =
-                            state.layouts[cells[unit.begin + k].layout];
-                        outcomes[k].failure = CellFailure{
-                            pair.platform->name, state.label,
-                            named.name, timeoutError(e.what())};
-                    }
-                } catch (const std::exception &e) {
-                    shard.add("campaign/fused_group_fallbacks");
-                    mosaic_warn("fused group fell back to per-cell "
-                                "replay: ",
-                                e.what());
-                }
-            }
-            for (std::size_t k = 0; k < unit.count; ++k) {
-                if (!outcomes[k].record && !outcomes[k].failure)
-                    outcomes[k] =
-                        simulateCell(unit.begin + k, unit_context);
-            }
 
             // Commit under the progress mutex: slot writes, pair
             // accounting, heartbeat composition, checkpoint cadence.
             std::string heartbeat;
             {
                 std::lock_guard<std::mutex> lock(progress_mutex);
-                for (std::size_t k = 0; k < unit.count; ++k)
-                    slots[unit.begin + k] = std::move(outcomes[k]);
-                cells_done += unit.count;
-                pair.cellsRemaining -= unit.count;
+                slots[index] = std::move(outcome);
+                ++cells_done;
+                --pair.cellsRemaining;
                 if (pair.cellsRemaining == 0) {
                     ++pairs_done;
                     if (config_.verbose) {
@@ -1149,7 +1029,6 @@ CampaignRunner::runImpl(const std::string *cache_path)
             cell_shards[worker].phase("campaign/cell"));
     }
     metrics().set("campaign/jobs", static_cast<double>(cell_jobs));
-    metrics().set("campaign/fused", config_.fused ? 1.0 : 0.0);
     metrics().set("campaign/sampled", sampled ? 1.0 : 0.0);
     if (sharded) {
         metrics().set("campaign/shard_index",

@@ -3,9 +3,9 @@
  * Deterministic k-means for interval-signature clustering.
  *
  * The campaign's byte-determinism contract (same CSV regardless of
- * --jobs, sharding, or fused grouping) extends to sampling, so the
- * clustering must be a pure function of its inputs: no RNG draws at
- * run time, no iteration-order dependence on hash maps or threads.
+ * --jobs or sharding) extends to sampling, so the clustering must be
+ * a pure function of its inputs: no RNG draws at run time, no
+ * iteration-order dependence on hash maps or threads.
  *
  *  - Initialization is seeded farthest-point: the seed picks the
  *    first center, each subsequent center is the point farthest from

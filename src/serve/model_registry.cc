@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <optional>
 
 #include "cpu/platform.hh"
 #include "cpu/system.hh"
@@ -87,8 +88,6 @@ ModelRegistry::ModelRegistry(Options options)
             return workloads::makeWorkload(label);
         };
     }
-    if (options_.fusedGroupSize == 0)
-        options_.fusedGroupSize = 1;
 }
 
 const std::vector<std::string> &
@@ -365,86 +364,58 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
                          e.what());
     }
 
-    // Fused replay over the campaign grid, group by group — or, with
-    // --cold-sampled, interval-sampled replay of one shared plan. The
+    // Replay the campaign grid layout by layout: in full, or with
+    // --cold-sampled, interval-sampled over one shared plan. The
     // query's cooperative deadline rides in on the context and is
     // checked inside the replay chunk loop, so a timed-out query
-    // abandons the pass within one chunk.
+    // abandons the fill within one chunk. A layout that fails is left
+    // out of the surface; a failing uniform reference, which every
+    // model needs, fails the whole fill.
     std::vector<exp::RunRecord> records;
     records.reserve(layouts.size());
     try {
+        std::optional<sampling::SamplePlan> plan;
         if (options_.coldSampling.enabled()) {
             registry.add("serve/cold_sampled");
-            sampling::SamplePlan plan;
-            {
-                ScopedTimer plan_timer(registry,
-                                       "serve/cold_sample_plan");
-                plan = sampling::buildSamplePlan(trace,
-                                                 options_.coldSampling);
-            }
-            for (const auto &named : layouts) {
-                sampling::SampledEstimate estimate;
-                try {
-                    estimate = sampling::simulateSampled(
-                        platform.value(),
-                        workload->makeAllocConfig(named.layout), trace,
-                        plan, /*os=*/{}, context);
-                } catch (const TimeoutError &) {
-                    throw; // outer handler owns timeout accounting
-                } catch (const std::exception &e) {
-                    const bool required =
-                        named.name == exp::layoutAll4k ||
-                        named.name == exp::layoutAll2m;
-                    if (required) {
-                        return Error(
-                            ErrorCategory::Internal,
-                            std::string("sampled cold lane failed: ") +
-                                e.what())
-                            .withContext(
-                                "cold-simulating required reference " +
-                                named.name);
-                    }
-                    registry.add("serve/cold_lane_failures");
-                    continue;
+            ScopedTimer plan_timer(registry, "serve/cold_sample_plan");
+            plan = sampling::buildSamplePlan(trace,
+                                             options_.coldSampling);
+        }
+        for (const auto &named : layouts) {
+            exp::RunRecord record;
+            record.platform = key.first;
+            record.workload = key.second;
+            record.layout = named.name;
+            try {
+                const alloc::MosallocConfig config =
+                    workload->makeAllocConfig(named.layout);
+                if (plan) {
+                    sampling::SampledEstimate estimate =
+                        sampling::simulateSampled(platform.value(),
+                                                  config, trace, *plan,
+                                                  /*os=*/{}, context);
+                    record.result = estimate.estimate;
+                    record.estErr = estimate.estErr;
+                } else {
+                    record.result = cpu::simulateRun(
+                        platform.value(), config, trace, context);
                 }
-                records.push_back(exp::RunRecord{
-                    key.first, key.second, named.name,
-                    estimate.estimate, estimate.estErr});
-            }
-        } else {
-            for (std::size_t base = 0; base < layouts.size();
-                 base += options_.fusedGroupSize) {
-                const std::size_t count =
-                    std::min<std::size_t>(options_.fusedGroupSize,
-                                          layouts.size() - base);
-                std::vector<alloc::MosallocConfig> configs;
-                configs.reserve(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                    configs.push_back(workload->makeAllocConfig(
-                        layouts[base + k].layout));
+            } catch (const TimeoutError &) {
+                throw; // outer handler owns timeout accounting
+            } catch (const std::exception &e) {
+                if (named.name == exp::layoutAll4k ||
+                    named.name == exp::layoutAll2m) {
+                    return Error(ErrorCategory::Internal,
+                                 std::string("cold lane failed: ") +
+                                     e.what())
+                        .withContext(
+                            "cold-simulating required reference " +
+                            named.name);
                 }
-                auto lanes = cpu::simulateRunFused(platform.value(),
-                                                   configs, trace,
-                                                   context);
-                for (std::size_t k = 0; k < count; ++k) {
-                    const auto &named = layouts[base + k];
-                    if (!lanes[k].ok()) {
-                        const bool required =
-                            named.name == exp::layoutAll4k ||
-                            named.name == exp::layoutAll2m;
-                        if (required) {
-                            return lanes[k].error().withContext(
-                                "cold-simulating required reference " +
-                                named.name);
-                        }
-                        registry.add("serve/cold_lane_failures");
-                        continue;
-                    }
-                    records.push_back(exp::RunRecord{
-                        key.first, key.second, named.name,
-                        std::move(lanes[k]).okOrThrow()});
-                }
+                registry.add("serve/cold_lane_failures");
+                continue;
             }
+            records.push_back(std::move(record));
         }
     } catch (const TimeoutError &e) {
         registry.add("serve/cold_timeouts");

@@ -56,7 +56,7 @@ class Error
     const std::string &message() const { return message_; }
     const std::vector<std::string> &context() const { return context_; }
 
-    /** Append a context note ("while loading trace cache x.mtrc"). */
+    /** Append a context note ("while loading trace cache x.mtsc"). */
     Error &
     addContext(std::string note)
     {

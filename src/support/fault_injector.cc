@@ -11,9 +11,9 @@ namespace
 {
 
 constexpr const char *siteNames[] = {
-    "trace-open", "trace-corrupt", "csv-truncate", "csv-open",
-    "lasso-nan", "sim-lane", "store-open", "store-corrupt",
-    "store-commit", "shard-write", "merge-read",
+    "csv-truncate", "csv-open",     "lasso-nan",
+    "sim-lane",     "store-open",   "store-corrupt",
+    "store-commit", "shard-write",  "merge-read",
 };
 
 static_assert(sizeof(siteNames) / sizeof(siteNames[0]) ==

@@ -84,9 +84,9 @@ extractIntervalSignatures(const MemoryTrace &trace,
 
 /**
  * As above, over the columnar store's zero-copy spans (@p meta packed
- * as gap | writeBit | dependsBit, the ReplayBatcher/TraceStore
- * layout). Produces bit-identical signatures to the MemoryTrace
- * overload on the same records.
+ * as gap | writeBit | dependsBit, the TraceStore column layout).
+ * Produces bit-identical signatures to the MemoryTrace overload on
+ * the same records.
  */
 std::vector<IntervalSignature>
 extractIntervalSignatures(std::span<const VirtAddr> vaddr,

@@ -2,11 +2,9 @@
  * @file
  * Columnar, mmap-able, CRC-guarded trace store.
  *
- * The campaign's trace cache used to be the packed AoS stream of
- * trace_io (format v2). This store replaces it for cache use: decoded
- * replay batches are laid out structure-of-arrays on disk — one dense
- * u64 address column and one dense u32 packed gap/flag column, the
- * exact encoding trace::ReplayBatcher stages into — behind a versioned
+ * The campaign's and the daemon's trace cache (".mtsc" files): records
+ * are laid out structure-of-arrays on disk — one dense u64 address
+ * column and one dense u32 packed gap/flag column — behind a versioned
  * superblock. Every persistent byte is verifiable:
  *
  *  - the superblock carries its own CRC32 (a flipped bit in the
@@ -60,7 +58,7 @@ constexpr std::uint32_t traceStoreCommitMagic = 0x434d4d54;
 /** Canonical file extension of store files (includes the dot). */
 constexpr const char *traceStoreExtension = ".mtsc";
 
-/** Packed per-record metadata (identical to ReplayBatcher's layout). */
+/** Packed per-record metadata: gap | writeBit | dependsBit. */
 constexpr std::uint32_t traceStoreGapMask = 0xffffu;
 constexpr std::uint32_t traceStoreWriteBit = 1u << 16;
 constexpr std::uint32_t traceStoreDependsBit = 1u << 17;

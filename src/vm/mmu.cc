@@ -31,7 +31,7 @@ Mmu::translateCold(VirtAddr vaddr, PhysAddr staged_phys,
     // staged arrays nor the packed memo carry. Re-derive it from the
     // page table instead of trusting the caller — the translation is
     // pure, so a staging pass that has since recycled the memo slot
-    // (fused lanes advance through chunks at different rates) cannot
+    // (staging runs up to a whole chunk ahead of retirement) cannot
     // alias this record's walk. The guard asserts the staged values
     // still describe this vaddr. All radix indices use address bits
     // >= 12, so the granule base walks the same entry chain.

@@ -110,8 +110,8 @@ class Mmu : public ShootdownSink
      * (page-offset included) and page size that peekTranslate(@p
      * vaddr) produced. Skips the duplicate memo lookup on the TLB-hit
      * paths; every simulated action and counter is identical to
-     * translate(vaddr, now). The fused replay engine stages a chunk
-     * per lane and then retires it through this entry.
+     * translate(vaddr, now). The replay kernel stages a chunk and
+     * then retires it through this entry.
      */
     inline TranslationEvent translateStaged(VirtAddr vaddr,
                                             PhysAddr staged_phys,

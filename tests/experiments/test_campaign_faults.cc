@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -167,6 +169,47 @@ TEST_F(CampaignFaultTest, ExhaustedRetriesFailThePairNotTheCampaign)
 
     EXPECT_TRUE(failures.empty());
     EXPECT_EQ(dataset.runs("SandyBridge", "test/tiny").size(), 55u);
+}
+
+TEST_F(CampaignFaultTest, SimLaneFaultFailsOneCellOthersMatchCleanRun)
+{
+    CampaignConfig config = faultConfig();
+    config.workloads = {"test/tiny"};
+    config.platforms = {cpu::sandyBridge()};
+    config.workloadFactory = [](const std::string &label)
+        -> std::unique_ptr<workloads::Workload> {
+        if (label == "test/tiny")
+            return std::make_unique<TinyWorkload>();
+        throw std::runtime_error("unknown test workload: " + label);
+    };
+    config.jobs = 2;
+    CampaignReport clean = CampaignRunner(config).runReport();
+    ASSERT_TRUE(clean.allOk()) << clean.summary();
+
+    // The 3rd cell to start building its machine fails. Which layout
+    // that is depends on how the two workers interleave, so the
+    // checks below hold for any of them.
+    faults().arm(FaultSite::SimLane, 3);
+    CampaignReport faulty = CampaignRunner(config).runReport();
+    faults().reset();
+
+    ASSERT_EQ(faulty.failures.size(), 1u) << faulty.summary();
+    const CellFailure &failure = faulty.failures[0];
+    EXPECT_EQ(failure.platform, "SandyBridge");
+    EXPECT_EQ(failure.workload, "test/tiny");
+    EXPECT_EQ(failure.error.category(), ErrorCategory::Internal);
+    EXPECT_EQ(faulty.cellsCompleted, clean.cellsCompleted - 1);
+
+    // The failed layout is absent; every other row is byte-identical
+    // to the clean run's, in the same canonical order.
+    Dataset expected;
+    for (const RunRecord &run :
+         clean.dataset.runs("SandyBridge", "test/tiny")) {
+        if (run.layout != failure.layout)
+            expected.add(run);
+    }
+    EXPECT_EQ(faulty.dataset.totalRuns(), clean.dataset.totalRuns() - 1);
+    EXPECT_EQ(faulty.dataset.toCsv(), expected.toCsv());
 }
 
 /**

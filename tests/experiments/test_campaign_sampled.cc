@@ -1,7 +1,7 @@
 /**
  * @file
  * Sampled campaigns: the est_err CSV column round-trips, the sampled
- * dataset is byte-identical across jobs/fused/shard scheduling, the
+ * dataset is byte-identical across jobs/shard scheduling, the
  * resume format guard keeps full-replay and sampled caches apart, and
  * sampling actually replays fewer records than the full campaign.
  */
@@ -123,12 +123,9 @@ TEST_F(CampaignSampledTest, ByteIdenticalAcrossJobsAndFused)
     CampaignReport a = CampaignRunner(serial).runReport(serial_csv);
     ASSERT_TRUE(a.allOk()) << a.summary();
 
-    // Wide + fused: the fused flag is inert under sampling (per-cell
-    // partial passes), so the CSV must still match byte for byte.
     CampaignConfig wide = sampledConfig();
     wide.jobs = 8;
-    wide.fused = true;
-    std::string wide_csv = scratch_.file("jobs8_fused.csv");
+    std::string wide_csv = scratch_.file("jobs8.csv");
     CampaignReport b = CampaignRunner(wide).runReport(wide_csv);
     ASSERT_TRUE(b.allOk()) << b.summary();
 

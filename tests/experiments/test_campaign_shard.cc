@@ -173,31 +173,6 @@ TEST_F(CampaignShardTest, TwoShardMergeIsByteIdenticalToUnsharded)
     EXPECT_EQ(merged.value().csv, slurp(full_csv));
 }
 
-TEST_F(CampaignShardTest, FusedShardedMergeMatchesUnshardedToo)
-{
-    // Fused replay under sharding groups a pair's owned (strided)
-    // layouts into shared-trace passes; results — and therefore the
-    // merged CSV — must still be byte-identical to the plain run.
-    CampaignConfig plain = shardTestConfig();
-    plain.jobs = 4;
-    std::string full_csv = scratch_.file("fused_full.csv");
-    CampaignReport full = CampaignRunner(plain).runReport(full_csv);
-    ASSERT_TRUE(full.allOk()) << full.summary();
-
-    CampaignConfig fused = plain;
-    fused.fused = true;
-    std::string shard0 = runShard(fused, 0, 2, "fused_shard0.csv");
-    std::string shard1 = runShard(fused, 1, 2, "fused_shard1.csv");
-
-    auto a = readShardFile(shard0);
-    auto b = readShardFile(shard1);
-    ASSERT_TRUE(a.ok()) << a.error().str();
-    ASSERT_TRUE(b.ok()) << b.error().str();
-    auto merged = mergeShards({a.value(), b.value()}, false);
-    ASSERT_TRUE(merged.ok()) << merged.error().str();
-    EXPECT_EQ(merged.value().csv, slurp(full_csv));
-}
-
 TEST_F(CampaignShardTest, KilledShardResumesAndMergesByteIdentical)
 {
     // The chaos drill: shard 1/2 "killed" mid-checkpoint — its CSV cut

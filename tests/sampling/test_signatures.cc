@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "trace/interval_signature.hh"
-#include "trace/replay_batch.hh"
 #include "trace/synth.hh"
+#include "trace/trace_store.hh"
 
 using namespace mosaic;
 using namespace mosaic::trace;
@@ -94,17 +94,17 @@ TEST(IntervalSignature, ColumnarSpansMatchMaterializedTrace)
 {
     auto trace = synthTrace(30000, 10, 20, 10, 60);
 
-    // Re-encode into the packed SoA layout TraceStore/ReplayBatcher
-    // share, and extract through the span overload.
+    // Re-encode into the packed SoA layout of the TraceStore columns,
+    // and extract through the span overload.
     std::vector<VirtAddr> vaddr;
     std::vector<std::uint32_t> meta;
     for (const auto &rec : trace.records()) {
         vaddr.push_back(rec.vaddr);
         std::uint32_t m = rec.gap;
         if (rec.isWrite)
-            m |= ReplayBatcher::kWriteBit;
+            m |= traceStoreWriteBit;
         if (rec.dependsOnPrev)
-            m |= ReplayBatcher::kDependsBit;
+            m |= traceStoreDependsBit;
         meta.push_back(m);
     }
 

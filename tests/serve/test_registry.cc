@@ -2,9 +2,9 @@
  * @file
  * Tests for the serve ModelRegistry: warm predictions from a loaded
  * campaign dataset, structured rejection of unknown names, and the
- * cold path — on-demand fused simulation, the interval-sampled cold
- * variant, single-flight dedup, deadline timeouts, and trace-store
- * reuse.
+ * cold path — on-demand simulation, the interval-sampled cold
+ * variant, per-layout failure isolation, single-flight dedup, deadline
+ * timeouts, and trace-store reuse.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "common/scratch_dir.hh"
 #include "experiments/campaign.hh"
 #include "serve/model_registry.hh"
+#include "support/fault_injector.hh"
 #include "support/random.hh"
 #include "support/sim_context.hh"
 
@@ -213,7 +214,7 @@ TEST(ServeRegistry, ColdPathSimulatesCachesAndMatchesTheCampaign)
     EXPECT_TRUE(registry.isResident("SandyBridge", "test/tiny"));
 
     // The cold surface is the campaign surface: same layouts, same
-    // seed, same fused engine — the measured runtime of grow-3 must
+    // seed, same replay kernel — the measured runtime of grow-3 must
     // be bit-identical to the dataset the campaign runner produced.
     const auto &row =
         sharedDataset().findRun("SandyBridge", "test/tiny", "grow-3");
@@ -273,6 +274,41 @@ TEST(ServeRegistry, ColdSampledPathEstimatesAndReplaysFewerRecords)
     ASSERT_TRUE(repeat.ok()) << repeat.error().str();
     EXPECT_DOUBLE_EQ(repeat.value().measuredCycles,
                      prediction.value().measuredCycles);
+}
+
+TEST(ServeRegistry, ColdLaneFaultDropsOneLayoutUnlessItIsAReference)
+{
+    // Cold layouts replay in campaign order, so the 2nd machine built
+    // is grow-1: a fault there costs that one layout, and the pair is
+    // still fitted and answers.
+    faults().reset();
+    {
+        ModelRegistry registry(coldOptions());
+        MetricsRegistry shard;
+        SimContext context(shard, faults());
+        faults().arm(FaultSite::SimLane, 2);
+        auto prediction = registry.predict(tinyQuery(), context);
+        faults().reset();
+        ASSERT_TRUE(prediction.ok()) << prediction.error().str();
+        EXPECT_EQ(shard.counter("serve/cold_lane_failures"), 1u);
+        EXPECT_TRUE(registry.isResident("SandyBridge", "test/tiny"));
+    }
+
+    // The 1st is the all-4KB reference every model needs: the cold
+    // fill fails with an error naming it, and nothing is cached.
+    ModelRegistry registry(coldOptions());
+    MetricsRegistry shard;
+    SimContext context(shard, faults());
+    faults().arm(FaultSite::SimLane, 1);
+    auto prediction = registry.predict(tinyQuery(), context);
+    faults().reset();
+    ASSERT_FALSE(prediction.ok());
+    const std::string message = prediction.error().str();
+    EXPECT_NE(message.find("required reference " + exp::layoutAll4k),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(shard.counter("serve/cold_lane_failures"), 0u);
+    EXPECT_FALSE(registry.isResident("SandyBridge", "test/tiny"));
 }
 
 TEST(ServeRegistry, ConcurrentColdQueriesDedupToOneSimulation)

@@ -9,16 +9,27 @@
 #include "vm/replacement.hh"
 
 using namespace mosaic::cli;
+using mosaic::Result;
 
 namespace
 {
 
+Result<Args>
+parseWith(std::vector<const char *> words,
+          std::initializer_list<std::string_view> accepted)
+{
+    words.insert(words.begin(), "prog");
+    return parseArgsResult(static_cast<int>(words.size()),
+                           const_cast<char **>(words.data()), accepted);
+}
+
+/** Parse @p words against the option names these tests use. */
 Args
 parse(std::vector<const char *> words)
 {
-    words.insert(words.begin(), "prog");
-    return parseArgs(static_cast<int>(words.size()),
-                     const_cast<char **>(words.data()));
+    return parseWith(std::move(words), {"workload", "platform", "csv",
+                                        "stats", "key", "out", "jobs"})
+        .okOrThrow();
 }
 
 } // namespace
@@ -66,6 +77,44 @@ TEST(Cli, RepeatedKeyLastWins)
 {
     Args args = parse({"--out", "a.csv", "--out", "b.csv"});
     EXPECT_EQ(args.get("out"), "b.csv");
+}
+
+TEST(CliUnknownOptions, UnknownOptionIsAConfigErrorNamingIt)
+{
+    // A misspelled flag used to be stored like any other and then
+    // never read, so the tool ran with default settings.
+    auto args = parseWith({"--workloads", "gups/8GB", "--jbos", "4"},
+                          {"workloads", "jobs"});
+    ASSERT_FALSE(args.ok());
+    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+    EXPECT_NE(args.error().str().find("unknown option --jbos"),
+              std::string::npos)
+        << args.error().str();
+}
+
+TEST(CliUnknownOptions, BareFlagsAndValuesAreCheckedAlike)
+{
+    EXPECT_FALSE(parseWith({"--resum"}, {"jobs", "resume"}).ok());
+    EXPECT_FALSE(parseWith({"--job", "8"}, {"jobs"}).ok());
+    // "--key=value" is not the accepted "--key value" form.
+    EXPECT_FALSE(parseWith({"--jobs=4"}, {"jobs"}).ok());
+    // Positionals are not options and need no accepted name.
+    auto args = parseWith({"shard0.csv", "--jobs", "4"}, {"jobs"});
+    ASSERT_TRUE(args.ok());
+    EXPECT_EQ(args.value().positional.size(), 1u);
+    EXPECT_EQ(args.value().get("jobs"), "4");
+}
+
+TEST(CliUnknownOptions, ToolEntryPointExitsTwoWithOneLine)
+{
+    std::vector<const char *> words = {"mosaic_campaign", "--jobs", "2",
+                                       "--cell-timout", "3"};
+    EXPECT_EXIT(parseArgs("mosaic_campaign",
+                          static_cast<int>(words.size()),
+                          const_cast<char **>(words.data()), {"jobs"}),
+                ::testing::ExitedWithCode(2),
+                "^mosaic_campaign: config error: unknown option "
+                "--cell-timout\n$");
 }
 
 TEST(CliNumeric, AcceptsPlainUnsigned)
@@ -208,7 +257,7 @@ TEST(CliNumeric, OptionHelpersUseFallback)
     auto jobs = unsignedOption(args, "jobs", 1, 1, 4096);
     ASSERT_TRUE(jobs.ok());
     EXPECT_EQ(jobs.value(), 12u);
-    auto missing = unsignedOption(args, "fused-group", 4, 1, 64);
+    auto missing = unsignedOption(args, "checkpoint-every", 4, 1, 64);
     ASSERT_TRUE(missing.ok());
     EXPECT_EQ(missing.value(), 4u);
     auto timeout = doubleOption(args, "cell-timeout", 0.0, 0.0);

@@ -114,7 +114,7 @@ TEST_F(TraceStoreTest, RoundTripPreservesEveryRecord)
     }
 
     // The mapped columns carry the same data zero-copy, in the packed
-    // encoding ReplayBatcher uses.
+    // gap | writeBit | dependsBit encoding.
     auto vaddr = store.vaddr();
     auto meta = store.meta();
     ASSERT_EQ(vaddr.size(), original.size());

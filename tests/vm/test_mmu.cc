@@ -115,9 +115,8 @@ TEST(Mmu, StagedAndFullTranslationsAgreeWhenInterleaved)
     // Regression test for the staged-translation memo aliasing hazard:
     // the replay kernel stages peekTranslate() results a chunk ahead of
     // the retire loop, so a staged {physAddr, pageSize} can be consumed
-    // at a different `now` — and, in the fused engine, interleaved with
-    // other lanes' full translate() calls that advance time at
-    // different rates and recycle the same memo slots. Two MMUs over
+    // at a different `now`, after other translations have advanced
+    // time and recycled the same memo slots. Two MMUs over
     // one page table replay the same access stream, one through
     // translate(), one through peek-then-translateStaged with a
     // deliberately stale staging distance and a second stream hammering

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "vm/tlb.hh"
 
 using namespace mosaic;
@@ -235,6 +237,17 @@ struct TlbShape
     std::uint32_t expectWays;
     std::uint32_t expectSets;
 };
+
+/**
+ * Print a shape by its label. GoogleTest's fallback dumps the raw
+ * bytes, label pointer included, and gtest_discover_tests names each
+ * case after that dump — so the test names changed with every build.
+ */
+void
+PrintTo(const TlbShape &shape, std::ostream *os)
+{
+    *os << shape.label;
+}
 
 } // namespace
 

@@ -12,13 +12,9 @@ baseline and fails (exit 1) when throughput regressed beyond the
 tolerance. Checked, all one-sided (only slowdowns fail, speedups pass):
 
   * aggregate.records_per_sec       -- the sequential per-cell sweep
-  * fused.records_per_sec           -- the fused multi-layout pass
   * per-cell records_per_sec        -- each (platform, layout) cell,
                                        at a wider tolerance (cells are
                                        noisier than the aggregate)
-  * fused.speedup_vs_sequential     -- absolute sanity floor: the fused
-                                       engine must never be materially
-                                       slower than sequential replay
   * paged.records_per_sec           -- the demand-paging replay stage
                                        (bounded frame pool); skipped
                                        with a note when the committed
@@ -53,23 +49,18 @@ tolerance. Checked, all one-sided (only slowdowns fail, speedups pass):
                                        are skipped, throughput checks
                                        still run.
 
-A baseline that predates a schema bump (missing aggregate/fused
-blocks or run-entry keys) skips the affected checks with a warning
-instead of crashing; the fresh file, produced by the current bench
-binary, is still required to carry the aggregate.
+A baseline that predates a schema bump (missing aggregate, paged or
+sampled blocks or run-entry keys) skips the affected checks with a
+warning instead of crashing; the fresh file, produced by the current
+bench binary, is still required to carry the aggregate.
 
 The default tolerance is deliberately wide (20%) because CI runners
 are shared and noisy; the bench itself takes the min over repetitions
-after a calibration rep, which removes most cold-start noise. The
-fused speedup floor defaults to 0.9: measured honestly, fused replay
-amortizes only trace decode (a few percent of replay time), so its
-sustainable guarantee is "at least as fast as sequential minus noise",
-not a multiple (see DESIGN.md "Fused multi-layout replay").
+after a calibration rep, which removes most cold-start noise.
 
 Usage:
   check_bench_regression.py --baseline BENCH_replay.json \
-      --fresh fresh.json [--tolerance 0.20] [--cell-tolerance 0.30] \
-      [--fused-floor 0.90]
+      --fresh fresh.json [--tolerance 0.20] [--cell-tolerance 0.30]
   check_bench_regression.py --self-test
 
 --self-test runs the gate against seeded synthetic bench documents
@@ -211,7 +202,7 @@ def gate_serve(baseline, fresh, args, gate):
 
 
 def gate_replay(baseline, fresh, args, gate):
-    """Replay-bench gate: aggregate/fused/paged/sampled/cell floors."""
+    """Replay-bench gate: aggregate/paged/sampled/cell floors."""
 
     def describe(path, doc):
         records = doc.get("records")
@@ -266,27 +257,6 @@ def gate_replay(baseline, fresh, args, gate):
     else:
         warn(f"{args.baseline}: no aggregate.host_cycles_per_record "
              "(pre-/3 schema?); cycle checks skipped")
-
-    base_fused = baseline.get("fused", {}).get("records_per_sec")
-    fresh_fused = fresh.get("fused", {}).get("records_per_sec")
-    if base_fused and fresh_fused:
-        gate.check("fused records/sec", fresh_fused,
-                   base_fused * (1.0 - args.tolerance),
-                   f"(baseline {base_fused:,.0f}, "
-                   f"-{args.tolerance:.0%}) ")
-    elif fresh_fused and not base_fused:
-        print("  fused records/sec: no baseline (pre-fused schema); "
-              "skipped")
-
-    fresh_speedup = fresh.get("fused", {}).get("speedup_vs_sequential")
-    if fresh_speedup is not None:
-        gate.checked += 1
-        verdict = ("ok" if fresh_speedup >= args.fused_floor
-                   else "REGRESSION")
-        print(f"  fused speedup vs sequential: {fresh_speedup:.3f} "
-              f"(floor {args.fused_floor:.2f}) -> {verdict}")
-        if fresh_speedup < args.fused_floor:
-            gate.failures.append("fused speedup floor")
 
     base_paged = baseline.get("paged", {}).get("records_per_sec")
     fresh_paged = fresh.get("paged", {}).get("records_per_sec")
@@ -440,9 +410,6 @@ def main():
                         help="allowed aggregate slowdown (default 0.20)")
     parser.add_argument("--cell-tolerance", type=float, default=0.30,
                         help="allowed per-cell slowdown (default 0.30)")
-    parser.add_argument("--fused-floor", type=float, default=0.90,
-                        help="minimum fused speedup_vs_sequential "
-                             "(default 0.90)")
     parser.add_argument("--cycles-ceiling", type=float, default=100.0,
                         help="absolute host_cycles_per_record ceiling, "
                              "enforced once the baseline is under it "

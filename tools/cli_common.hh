@@ -6,14 +6,17 @@
 #ifndef MOSAIC_TOOLS_CLI_COMMON_HH
 #define MOSAIC_TOOLS_CLI_COMMON_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hh"
@@ -45,18 +48,25 @@ struct Args
 };
 
 /**
- * Parse argv. "--key value" pairs become options; "--flag" followed by
- * another option (or nothing) becomes a true flag; everything else is
- * positional.
+ * Parse argv against the option names a tool accepts. "--key value"
+ * pairs become options; "--flag" followed by another option (or
+ * nothing) becomes a true flag; everything else is positional. A
+ * "--key" outside @p accepted is a Config error naming it, so a
+ * misspelled option ("--jbos 4") can never run the tool with default
+ * settings.
  */
-inline Args
-parseArgs(int argc, char **argv)
+inline Result<Args>
+parseArgsResult(int argc, char **argv,
+                std::initializer_list<std::string_view> accepted)
 {
     Args args;
     for (int i = 1; i < argc; ++i) {
         std::string word = argv[i];
         if (word.rfind("--", 0) == 0) {
             std::string key = word.substr(2);
+            if (std::find(accepted.begin(), accepted.end(), key) ==
+                accepted.end())
+                return configError("unknown option " + word);
             if (i + 1 < argc &&
                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
                 args.options[key] = argv[++i];
@@ -208,6 +218,15 @@ unwrapOrDie(const char *tool, Result<T> result)
         std::exit(2);
     }
     return std::move(result).okOrThrow();
+}
+
+/** parseArgsResult() at a tool's entry point: an unknown option
+ *  prints one line naming it and exits 2. */
+inline Args
+parseArgs(const char *tool, int argc, char **argv,
+          std::initializer_list<std::string_view> accepted)
+{
+    return unwrapOrDie(tool, parseArgsResult(argc, argv, accepted));
 }
 
 } // namespace mosaic::cli

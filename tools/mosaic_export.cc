@@ -31,7 +31,9 @@ int
 exportMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
+    auto args = cli::parseArgs(
+        "mosaic_export", argc, argv,
+        {"help", "dataset", "outdir", "curves", "metrics-out"});
     if (args.has("help"))
         cli::usage(usageText);
 

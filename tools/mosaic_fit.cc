@@ -32,7 +32,9 @@ int
 fitMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
+    auto args = cli::parseArgs("mosaic_fit", argc, argv,
+                               {"help", "dataset", "platform", "workload",
+                                "models", "describe", "metrics-out"});
     if (args.has("help"))
         cli::usage(usageText);
 

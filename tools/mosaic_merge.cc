@@ -48,7 +48,9 @@ int
 mergeMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
+    auto args = cli::parseArgs(
+        "mosaic_merge", argc, argv,
+        {"help", "out", "allow-missing-shards", "metrics-out"});
     const bool allow_missing = args.has("allow-missing-shards");
     // parseArgs greedily attaches the next bare word to any "--flag";
     // for this boolean flag that word is really the first shard path,

@@ -121,7 +121,10 @@ int
 runMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
+    auto args = cli::parseArgs("mosaic_run", argc, argv,
+                               {"help", "list", "workload", "platform",
+                                "layout", "jobs", "csv", "stats",
+                                "metrics-out"});
 
     if (args.has("list")) {
         std::printf("workloads:\n");
@@ -132,7 +135,8 @@ runMain(int argc, char **argv)
             std::printf("  %s\n", spec.name.c_str());
         return 0;
     }
-    if (!args.has("workload") || !args.has("platform"))
+    if (args.has("help") || !args.has("workload") ||
+        !args.has("platform"))
         cli::usage(usageText);
 
     auto workload = workloads::makeWorkload(args.get("workload"));

@@ -6,7 +6,7 @@
  * line-oriented protocol on a loopback TCP port or a Unix-domain
  * socket. Warm (platform, workload) pairs answer from the fitted
  * model in microseconds; unknown pairs fall back to an on-demand
- * fused simulation whose result is cached for every later query.
+ * simulation whose result is cached for every later query.
  *
  * SIGTERM/SIGINT drain in-flight queries, fold per-worker metric
  * shards, optionally write the --metrics-out manifest, and exit 0.
@@ -59,7 +59,7 @@ const char *kUsage =
     "                     was loaded)\n"
     "  --cold-sampled     answer cold pairs with interval-sampled\n"
     "                     replay (one representative segment set per\n"
-    "                     trace) instead of the full fused grid —\n"
+    "                     trace) instead of the full grid —\n"
     "                     seconds instead of minutes per pair, at the\n"
     "                     sample plan's documented error bound\n"
     "  --sample-interval N  sampled-cold interval length in records\n"
@@ -75,7 +75,12 @@ int
 main(int argc, char **argv)
 {
     return cli::runGuarded("mosaic_serve", [&]() -> int {
-        cli::Args args = cli::parseArgs(argc, argv);
+        cli::Args args = cli::parseArgs(
+            "mosaic_serve", argc, argv,
+            {"help", "dataset", "socket", "port", "jobs", "query-timeout",
+             "trace-cache", "seed", "no-1gb", "no-cold", "cold-sampled",
+             "sample-interval", "sample-clusters", "sample-warmup",
+             "metrics-out"});
         if (args.has("help"))
             cli::usage(kUsage);
 

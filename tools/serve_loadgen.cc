@@ -141,7 +141,10 @@ int
 main(int argc, char **argv)
 {
     return cli::runGuarded("serve_loadgen", [&]() -> int {
-        cli::Args args = cli::parseArgs(argc, argv);
+        cli::Args args = cli::parseArgs(
+            "serve_loadgen", argc, argv,
+            {"help", "socket", "port", "platform", "workload", "model",
+             "requests", "clients", "out"});
         if (args.has("help") ||
             (!args.has("socket") && !args.has("port")) ||
             !args.has("platform") || !args.has("workload")) {
