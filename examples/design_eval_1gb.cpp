@@ -25,7 +25,6 @@
 #include "experiments/report.hh"
 #include "models/mosmodel.hh"
 #include "support/str.hh"
-#include "workloads/registry.hh"
 
 int
 main()
@@ -34,7 +33,6 @@ main()
 
     const std::string label = "spec06/mcf";
     cpu::PlatformSpec platform = cpu::sandyBridge();
-    auto workload = workloads::makeWorkload(label);
     std::printf("design under evaluation: translation-free backing "
                 "(1GB pages as the stand-in)\n");
     std::printf("workload %s, platform %s\n\n", label.c_str(),
@@ -44,8 +42,9 @@ main()
     // ground-truth run).
     exp::CampaignConfig config;
     config.verbose = false;
-    exp::Dataset dataset;
-    exp::CampaignRunner::runPair(*workload, platform, config, dataset);
+    config.workloads = {label};
+    config.platforms = {platform};
+    exp::Dataset dataset = exp::CampaignRunner(config).runReport().dataset;
     auto data = dataset.sampleSet(platform.name, label);
 
     // Step 2: fit the models on the 4KB/2MB samples only.

@@ -18,7 +18,6 @@
 #include "models/evaluation.hh"
 #include "models/mosmodel.hh"
 #include "support/str.hh"
-#include "workloads/registry.hh"
 
 int
 main()
@@ -27,14 +26,14 @@ main()
 
     const std::string label = "gups/8GB";
     cpu::PlatformSpec platform = cpu::broadwell();
-    auto workload = workloads::makeWorkload(label);
     std::printf("surveying runtime models for %s on %s\n\n",
                 label.c_str(), platform.name.c_str());
 
     exp::CampaignConfig config;
     config.verbose = false;
-    exp::Dataset dataset;
-    exp::CampaignRunner::runPair(*workload, platform, config, dataset);
+    config.workloads = {label};
+    config.platforms = {platform};
+    exp::Dataset dataset = exp::CampaignRunner(config).runReport().dataset;
     auto data = dataset.sampleSet(platform.name, label);
 
     std::printf("anchor points the fixed models are built from:\n");

@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "cpu/platform.hh"
 #include "experiments/campaign.hh"
@@ -39,8 +40,13 @@ main()
     // 2-3. Run the campaign for this single pair.
     exp::CampaignConfig config;
     config.verbose = false;
-    exp::Dataset dataset;
-    exp::CampaignRunner::runPair(workload, platform, config, dataset);
+    config.workloads = {workload.info().label()};
+    config.platforms = {platform};
+    config.workloadFactory = [](const std::string &) {
+        return std::make_unique<workloads::GupsWorkload>(
+            workloads::gupsSmall());
+    };
+    exp::Dataset dataset = exp::CampaignRunner(config).runReport().dataset;
 
     models::SampleSet data =
         dataset.sampleSet(platform.name, workload.info().label());

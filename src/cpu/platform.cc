@@ -162,14 +162,23 @@ allPlatforms()
     return {sandyBridge(), ivyBridge(), haswell(), broadwell(), skylake()};
 }
 
-PlatformSpec
-platformByName(const std::string &name)
+Result<PlatformSpec>
+findPlatform(const std::string &name)
 {
     for (auto &spec : allPlatforms()) {
         if (spec.name == name)
             return spec;
     }
-    mosaic_fatal("unknown platform: ", name);
+    return configError("unknown platform '" + name + "'");
+}
+
+PlatformSpec
+platformByName(const std::string &name)
+{
+    auto found = findPlatform(name);
+    if (!found.ok())
+        mosaic_fatal(found.error().message());
+    return found.value();
 }
 
 } // namespace mosaic::cpu

@@ -18,6 +18,7 @@
 
 #include "cpu/core.hh"
 #include "memhier/hierarchy.hh"
+#include "support/error.hh"
 #include "vm/mmu.hh"
 
 namespace mosaic::cpu
@@ -61,7 +62,11 @@ std::vector<PlatformSpec> paperPlatforms();
 /** All five generations of Table 4. */
 std::vector<PlatformSpec> allPlatforms();
 
-/** Look up a platform by (case-sensitive) name; fatal if unknown. */
+/** Look up a platform by (case-sensitive) name; an unknown name is a
+ *  Config error naming it. */
+Result<PlatformSpec> findPlatform(const std::string &name);
+
+/** findPlatform(), fatal if the name is unknown. */
 PlatformSpec platformByName(const std::string &name);
 
 } // namespace mosaic::cpu

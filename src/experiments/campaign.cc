@@ -1,5 +1,6 @@
 #include "experiments/campaign.hh"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cctype>
@@ -10,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "cpu/system.hh"
@@ -171,16 +173,20 @@ buildCampaignLayouts(const workloads::Workload &workload,
     }
 }
 
-/** Construct a workload via the configured factory (tests) or the
- *  benchmark registry (default). May throw; callers map the throw to
- *  a Config-category pair failure. */
+/** Construct a workload via the configured factory (tests, serve) or
+ *  the benchmark registry (default). Throws when the label is unknown,
+ *  including a factory that returns null; callers map the throw to a
+ *  Config-category pair failure. */
 std::unique_ptr<workloads::Workload>
 makeConfiguredWorkload(const CampaignConfig &config,
                        const std::string &label)
 {
-    if (config.workloadFactory)
-        return config.workloadFactory(label);
-    return workloads::makeWorkload(label);
+    auto workload = config.workloadFactory
+                        ? config.workloadFactory(label)
+                        : workloads::makeWorkload(label);
+    if (!workload)
+        throw std::runtime_error("unknown workload '" + label + "'");
+    return workload;
 }
 
 /** The interference partner of a multi-tenant campaign, prepared once:
@@ -293,7 +299,805 @@ buildWorkloadSamplePlan(const trace::MemoryTrace &trace,
     }
 }
 
+using PairKey = std::pair<std::string, std::string>;
+
+/** One pair of the campaign grid, as this process walks it. */
+struct GridPair
+{
+    const cpu::PlatformSpec *platform;
+    std::string label;
+
+    /** Position in the deduplicated grid walk — the pair's coordinate
+     *  in the shard partition, identical in every shard. */
+    std::size_t ordinal;
+
+    /** Cells of the pair this process owns (all of them unsharded). */
+    std::size_t cells;
+};
+
+/**
+ * The grid in canonical order: label-major, a pair named twice visited
+ * once. Pairs the shard partition gives entirely to other shards are
+ * left out. The walk order defines the pair ordinals, and with them
+ * the shard partition and the canonical row order.
+ */
+std::vector<GridPair>
+walkGrid(const CampaignConfig &config, std::size_t cells_per_pair)
+{
+    std::vector<GridPair> grid;
+    std::set<PairKey> seen;
+    std::size_t ordinal = 0;
+    for (const auto &label : config.workloads) {
+        for (const auto &platform : config.platforms) {
+            if (!seen.insert({platform.name, label}).second)
+                continue; // pair named twice in the grid; run it once
+            const std::size_t cells =
+                shardCellsOfPair(config.shardIndex, config.shardCount,
+                                 ordinal, cells_per_pair);
+            if (cells > 0)
+                grid.push_back({&platform, label, ordinal, cells});
+            ++ordinal;
+        }
+    }
+    return grid;
+}
+
+/**
+ * Whether a cached dataset has the CSV format @p config writes. A
+ * cache in another format holds rows measured under different
+ * semantics (OS layer, or full vs sampled replay); splicing them in
+ * would mix incommensurable counters, so a mismatch warns and the
+ * caller does @p fallback instead.
+ */
+bool
+cacheFormatMatches(const Dataset &cached, const CampaignConfig &config,
+                   const std::string &path, const char *fallback)
+{
+    if (cached.swapColumn() == config.os.paged() &&
+        cached.estErrColumn() == config.sampling.enabled())
+        return true;
+    mosaic_warn("campaign cache ", path,
+                " has a different CSV format (swap column ",
+                cached.swapColumn() ? "present" : "absent",
+                ", est_err column ",
+                cached.estErrColumn() ? "present" : "absent", "); ",
+                fallback);
+    return false;
+}
+
+/** The hash two shard CSVs must agree on to merge: everything that
+ *  defines the cell partition. */
+std::uint32_t
+partitionHash(const CampaignConfig &config, std::size_t cells_per_pair)
+{
+    std::vector<std::string> platform_names;
+    for (const auto &platform : config.platforms)
+        platform_names.push_back(platform.name);
+    // The OS configuration changes every cell's counters, so it must
+    // be part of the partition identity: shards of a paging campaign
+    // never merge with shards of a classic one (or of a paging
+    // campaign with different frame budget, policy, or costs). Folding
+    // it into the seed reuses the existing hash without changing the
+    // manifest format.
+    std::uint64_t partition_seed = config.seed;
+    if (config.os.paged()) {
+        const std::string os_tag = detail::concat(
+            "os/", config.os.memFrames, "/",
+            vm::replacementPolicyName(config.os.policy), "/",
+            config.os.majorFaultCycles, "/", config.os.writebackCycles);
+        partition_seed ^= (0x6f73ULL << 32) |
+                          crc32(os_tag.data(), os_tag.size());
+    }
+    // Sampled counters are incommensurable with full-replay ones for
+    // the same reason, and so are two different sampling configs:
+    // fold the sampling tag in exactly like the OS tag.
+    if (config.sampling.enabled()) {
+        const std::string sample_tag = config.sampling.tag();
+        partition_seed ^= (0x73616dULL << 32) |
+                          crc32(sample_tag.data(), sample_tag.size());
+    }
+    return shardConfigHash(config.workloads, platform_names,
+                           config.include1g, partition_seed,
+                           cells_per_pair, config.shardCount);
+}
+
+template <typename Body>
+void
+runPool(unsigned n, Body &&body)
+{
+    std::vector<std::thread> pool;
+    for (unsigned i = 0; i < n; ++i)
+        pool.emplace_back(body, i);
+    for (auto &thread : pool)
+        thread.join();
+}
+
+/**
+ * One CampaignRunner run: the state its stages hand each other.
+ * CampaignRunner::runImpl() calls the stages in order — validate,
+ * index the resume cache, walk the grid, prepare workloads, execute
+ * cells, assemble and save — and returns the report.
+ */
+struct CampaignRun
+{
+    /** Shared immutable inputs of one workload's cells, prepared once
+     *  (trace + layouts are platform-independent). */
+    struct WorkloadState
+    {
+        std::string label;
+        std::unique_ptr<workloads::Workload> workload;
+        std::shared_ptr<const trace::MemoryTrace> trace;
+        std::vector<layouts::NamedLayout> layouts;
+
+        /** Sampled campaigns: the workload's replay plan, shared by
+         *  every cell (layout- and platform-independent). */
+        std::shared_ptr<const sampling::SamplePlan> plan;
+
+        std::size_t retries = 0;
+        std::optional<Error> error;
+    };
+
+    struct PairTask
+    {
+        std::size_t state;
+        const cpu::PlatformSpec *platform;
+        std::size_t ordinal;
+        const std::set<std::string> *done = nullptr;
+
+        /** Open cells; decremented under the progress mutex. */
+        std::size_t cellsRemaining = 0;
+    };
+
+    /** One open cell. Once it ran, exactly one of record/failure is
+     *  set, written under the progress mutex. */
+    struct Cell
+    {
+        std::size_t pair;
+        std::size_t layout;
+        std::optional<RunRecord> record;
+        std::optional<CellFailure> failure;
+    };
+
+    const CampaignConfig &config;
+    const SimContext &context;
+    const std::string *cachePath;
+    const unsigned jobs;
+    const std::size_t cellsPerPair;
+    const bool sharded = config.shardCount > 1;
+    const bool sampled = config.sampling.enabled();
+    CampaignReport report;
+
+    // Resumed cells, two ways: the raw cache (row order preserved, for
+    // pairs kept wholesale) and its first row per cell (checkpoint
+    // snapshots, and the rows spliced back into canonical layout
+    // positions of partially-done pairs), plus each pair's covered
+    // layouts.
+    std::optional<Dataset> resumeData;
+    Dataset resumedBase;
+    std::map<PairKey, std::set<std::string>> covered;
+
+    std::vector<PairKey> coveredPairs;
+    std::vector<WorkloadState> states;
+    std::vector<PairTask> pairs;
+    std::size_t expectedCells = 0;
+    std::uint32_t configHash = 0;
+    std::optional<CoTenant> coTenant;
+    std::vector<MetricsRegistry> prepShards;
+    std::vector<MetricsRegistry> cellShards;
+
+    // Execution: the canonical cell list, and the progress accounting
+    // the workers share under progressMutex.
+    std::vector<Cell> cells;
+    std::mutex progressMutex;
+    StopWatch watch;
+    std::size_t cellsDone = 0;
+    std::size_t pairsDone = 0;
+    std::size_t totalPairs = 0;
+    std::size_t sinceCheckpoint = 0;
+
+    CampaignRun(const CampaignRunner &runner, const SimContext &ctx,
+                const std::string *cache_path)
+        : config(runner.config()), context(ctx), cachePath(cache_path),
+          jobs(runner.effectiveJobs()),
+          cellsPerPair(runner.expectedCellsPerPair())
+    {
+        for (Dataset *dataset : {&report.dataset, &resumedBase}) {
+            dataset->setSwapColumn(config.os.paged());
+            dataset->setEstErrColumn(sampled);
+        }
+    }
+
+    bool
+    ownsCell(const PairTask &pair, std::size_t layout) const
+    {
+        return shardOwnsCell(config.shardIndex, config.shardCount,
+                             pair.ordinal, layout, cellsPerPair);
+    }
+
+    /** Stage 1: a configuration no runner can honor is one structured
+     *  Config failure. */
+    bool
+    validate()
+    {
+        auto valid = config.validate();
+        if (!valid.ok())
+            report.failures.push_back(
+                {"*", config.coWorkload, "*", valid.error()});
+        return valid.ok();
+    }
+
+    /**
+     * Stage 2: fold the (possibly partial, possibly damaged) resume
+     * cache and remember which cells it already covers. The cache may
+     * hold duplicate rows (a checkpoint that fired mid-pair on a run
+     * that later appended the same pair again); the per-pair done set
+     * keeps only the first occurrence of each layout.
+     */
+    void
+    indexResumeCache()
+    {
+        if (!cachePath || !std::ifstream(*cachePath).good())
+            return;
+        ScopedTimer resume_timer(context.metrics(), "campaign/resume");
+        std::size_t load_retries = 0;
+        auto cached = retryWithBackoff(
+            config.retry, [&] { return Dataset::loadResult(*cachePath); },
+            &load_retries);
+        report.retriesPerformed += load_retries;
+        if (!cached.ok()) {
+            mosaic_warn("campaign cache ", *cachePath, " unusable (",
+                        cached.error().str(), "); starting fresh");
+            return;
+        }
+        if (!cacheFormatMatches(cached.value(), config, *cachePath,
+                                "starting fresh"))
+            return;
+        resumeData = std::move(cached.value());
+        for (const auto &platform : config.platforms) {
+            for (const auto &label : config.workloads) {
+                if (!resumeData->has(platform.name, label))
+                    continue;
+                auto &done = covered[{platform.name, label}];
+                for (const auto &record :
+                     resumeData->runs(platform.name, label)) {
+                    if (!done.insert(record.layout).second)
+                        continue;
+                    resumedBase.add(record);
+                    ++report.cellsResumed;
+                }
+            }
+        }
+        context.metrics().add("campaign/cells_resumed",
+                              report.cellsResumed);
+        if (config.verbose && report.cellsResumed > 0) {
+            mosaic_inform("campaign: resuming, ", report.cellsResumed,
+                          " cell(s) already in ", *cachePath);
+        }
+    }
+
+    /**
+     * Stage 3: one shared state per distinct workload, pairs in grid
+     * order. The pair/cell orders fixed here define the canonical
+     * result order, independent of how workers interleave.
+     */
+    void
+    scheduleGrid()
+    {
+        std::map<std::string, std::size_t> state_index;
+        for (const GridPair &grid_pair : walkGrid(config, cellsPerPair)) {
+            const PairKey key{grid_pair.platform->name, grid_pair.label};
+            auto it = covered.find(key);
+            const std::set<std::string> *done =
+                it == covered.end() ? nullptr : &it->second;
+            // A fully covered pair keeps its cached rows without even
+            // a trace — but only unsharded: a shard always preps its
+            // pairs, because the shard manifest must name the pair's
+            // canonical layout order and only buildCampaignLayouts
+            // knows it.
+            if (!sharded && done && done->size() >= cellsPerPair) {
+                coveredPairs.push_back(key);
+                continue;
+            }
+            auto [state_it, inserted] =
+                state_index.try_emplace(grid_pair.label, states.size());
+            if (inserted)
+                states.push_back({grid_pair.label, nullptr, nullptr, {},
+                                  nullptr, 0, {}});
+            pairs.push_back({state_it->second, grid_pair.platform,
+                             grid_pair.ordinal, done, 0});
+            expectedCells += grid_pair.cells;
+        }
+        if (sharded)
+            configHash = partitionHash(config, cellsPerPair);
+    }
+
+    /**
+     * Stage 4: prepare every input the cells share. The interference
+     * partner comes first: its trace and baseline layout are inputs to
+     * *every* cell, so a co-workload that cannot be built fails the
+     * campaign as a whole (one structured Config/Io failure), not cell
+     * by cell. Then each workload's factory, trace, layouts and sample
+     * plan, in parallel, each worker publishing into a private shard.
+     */
+    bool
+    prepareWorkloads()
+    {
+        if (!config.coWorkload.empty()) {
+            std::size_t co_retries = 0;
+            auto prepared = prepareCoTenant(config, co_retries, context);
+            report.retriesPerformed += co_retries;
+            if (!prepared.ok()) {
+                report.failures.push_back(
+                    {"*", config.coWorkload, "*", prepared.error()});
+                return false;
+            }
+            coTenant = std::move(prepared).okOrThrow();
+        }
+        watch.restart();
+        prepShards = std::vector<MetricsRegistry>(std::min<unsigned>(
+            jobs, std::max<std::size_t>(states.size(), 1)));
+        std::atomic<std::size_t> next{0};
+        runPool(prepShards.size(), [&](unsigned worker) {
+            SimContext worker_context(prepShards[worker], context.faults(),
+                                      config.seed, worker);
+            for (std::size_t i = next++; i < states.size(); i = next++)
+                prepareWorkload(states[i], worker_context);
+        });
+        return true;
+    }
+
+    void
+    prepareWorkload(WorkloadState &state, const SimContext &ctx)
+    {
+        try {
+            state.workload = makeConfiguredWorkload(config, state.label);
+        } catch (const std::exception &e) {
+            state.error = Error(ErrorCategory::Config, e.what());
+            return;
+        }
+        auto trace_result =
+            obtainTrace(*state.workload, config, state.retries, ctx);
+        if (!trace_result.ok()) {
+            state.error = trace_result.error();
+            return;
+        }
+        auto layouts_result = buildCampaignLayouts(
+            *state.workload, trace_result.value(), config);
+        if (!layouts_result.ok()) {
+            state.error = layouts_result.error();
+            return;
+        }
+        state.layouts = std::move(layouts_result).okOrThrow();
+        state.trace = std::make_shared<trace::MemoryTrace>(
+            std::move(trace_result).okOrThrow());
+        if (sampled) {
+            auto plan_result =
+                buildWorkloadSamplePlan(*state.trace, config, ctx);
+            if (!plan_result.ok()) {
+                state.error = plan_result.error();
+                return;
+            }
+            state.plan = std::make_shared<const sampling::SamplePlan>(
+                std::move(plan_result).okOrThrow());
+        }
+    }
+
+    /**
+     * Stage 5: simulate every open cell over the worker pool, then
+     * merge the worker shards. Each worker owns its machine and metrics
+     * shard; the trace and layouts are shared immutable.
+     */
+    void
+    executeCells()
+    {
+        listCells();
+        // Prep-failed pairs have no cells to wait for: account for
+        // them up front, on the same checkpoint cadence a completed
+        // pair would advance.
+        for (const auto &pair : pairs) {
+            if (states[pair.state].error) {
+                ++pairsDone;
+                if (checkpointDue())
+                    checkpoint(context.metrics());
+            }
+        }
+        cellShards = std::vector<MetricsRegistry>(std::min<unsigned>(
+            jobs, std::max<std::size_t>(cells.size(), 1)));
+        std::atomic<std::size_t> next{0};
+        runPool(cellShards.size(), [&](unsigned worker) {
+            MetricsRegistry &shard = cellShards[worker];
+            SimContext worker_context(shard, context.faults(), config.seed,
+                                      worker);
+            for (std::size_t i = next++; i < cells.size(); i = next++)
+                commitCell(i, runCell(cells[i], worker_context), shard);
+        });
+        mergeShards();
+    }
+
+    /**
+     * The cell list in canonical order: pairs in grid order, layouts
+     * in the order buildCampaignLayouts returns them. The pairs this
+     * run resolves are the ones with open cells plus the ones whose
+     * prep failed — a failed pair still flushes progress, so a later
+     * crash resumes from the freshest state.
+     */
+    void
+    listCells()
+    {
+        for (std::size_t p = 0; p < pairs.size(); ++p) {
+            PairTask &pair = pairs[p];
+            const WorkloadState &state = states[pair.state];
+            for (std::size_t li = 0;
+                 !state.error && li < state.layouts.size(); ++li) {
+                if (ownsCell(pair, li) &&
+                    !(pair.done &&
+                      pair.done->count(state.layouts[li].name))) {
+                    cells.push_back({p, li, {}, {}});
+                    ++pair.cellsRemaining;
+                }
+            }
+            if (state.error || pair.cellsRemaining > 0)
+                ++totalPairs;
+        }
+    }
+
+    Cell
+    runCell(Cell cell, const SimContext &worker_context)
+    {
+        const PairTask &pair = pairs[cell.pair];
+        const WorkloadState &state = states[pair.state];
+        const auto &named = state.layouts[cell.layout];
+        MetricsRegistry &shard = worker_context.metrics();
+        auto fail = [&](Error error) {
+            shard.add("campaign/cells_failed");
+            cell.failure = CellFailure{pair.platform->name, state.label,
+                                       named.name, std::move(error)};
+            return std::move(cell);
+        };
+
+        // The cell's deadline is the earlier of the caller's and the
+        // watchdog budget. The replay loops check it per chunk, so an
+        // expired deadline surfaces as TimeoutError; once the caller's
+        // own deadline has passed, no further cell builds a machine.
+        const auto now = std::chrono::steady_clock::now();
+        auto deadline = context.deadline();
+        if (context.hasDeadline() && now >= deadline) {
+            shard.add("campaign/cells_timed_out");
+            return fail(timeoutError("deadline passed before the cell "
+                                     "started"));
+        }
+        if (config.cellTimeoutSeconds > 0.0) {
+            deadline = std::min(
+                deadline, now + std::chrono::duration_cast<
+                                    std::chrono::steady_clock::duration>(
+                                    std::chrono::duration<double>(
+                                        config.cellTimeoutSeconds)));
+        }
+
+        ScopedTimer cell_timer(shard, "campaign/cell");
+        try {
+            RunRecord record;
+            record.platform = pair.platform->name;
+            record.workload = state.label;
+            record.layout = named.name;
+            record.result = simulateCellResult(
+                *pair.platform, *state.workload, named, *state.trace,
+                config, coTenant ? &*coTenant : nullptr, state.plan.get(),
+                &record.estErr, worker_context.withDeadline(deadline));
+            cell.record = std::move(record);
+            return cell;
+        } catch (const ResourceError &e) {
+            // The frame budget cannot hold the cell's pages: an
+            // isolated, structured Resource failure — the pool
+            // exhaustion analog of a timeout.
+            return fail(Error(ErrorCategory::Resource, e.what()));
+        } catch (const TimeoutError &e) {
+            // The watchdog fired: a hung cell is an isolated Timeout
+            // failure, not a wedged worker.
+            shard.add("campaign/cells_timed_out");
+            return fail(timeoutError(e.what()));
+        } catch (const std::exception &e) {
+            // One bad cell must not take down the pair: record it and
+            // keep simulating the remaining layouts.
+            return fail(Error(ErrorCategory::Internal, e.what()));
+        }
+    }
+
+    /** Commit one cell under the progress mutex: slot write, pair
+     *  accounting, heartbeat composition, checkpoint cadence. */
+    void
+    commitCell(std::size_t index, Cell done, MetricsRegistry &shard)
+    {
+        std::string heartbeat;
+        {
+            std::lock_guard<std::mutex> lock(progressMutex);
+            cells[index] = std::move(done);
+            ++cellsDone;
+            PairTask &pair = pairs[cells[index].pair];
+            if (--pair.cellsRemaining == 0) {
+                ++pairsDone;
+                if (config.verbose) {
+                    // Heartbeat: progress plus throughput and ETA, so
+                    // a long grid is never a silent black box.
+                    const double elapsed = watch.elapsedSeconds();
+                    const double rate =
+                        elapsed > 0.0 ? cellsDone / elapsed : 0.0;
+                    const double eta =
+                        rate > 0.0 ? (cells.size() - cellsDone) / rate
+                                   : 0.0;
+                    char pace[96];
+                    std::snprintf(pace, sizeof pace,
+                                  "%.2f cells/sec, ETA %.0fs", rate, eta);
+                    heartbeat = detail::concat(
+                        "campaign: ", pairsDone, "/", totalPairs,
+                        " pairs done (", pair.platform->name, " ",
+                        states[pair.state].label, ") — ", pace);
+                }
+                if (checkpointDue())
+                    checkpoint(shard);
+            }
+        }
+        // Every worker-side progress line goes through the
+        // mutex-protected logging layer, composed as one complete
+        // line, so parallel workers never interleave mid-line.
+        if (!heartbeat.empty())
+            mosaic_inform(heartbeat);
+    }
+
+    /** Whether the pair just resolved completes a checkpoint
+     *  interval. */
+    bool
+    checkpointDue()
+    {
+        if (!cachePath || config.checkpointEvery == 0 ||
+            ++sinceCheckpoint < config.checkpointEvery ||
+            pairsDone >= totalPairs)
+            return false;
+        sinceCheckpoint = 0;
+        return true;
+    }
+
+    /**
+     * Flush the completed cells to the cache path, publishing into
+     * @p registry (the calling worker's shard). Called under the
+     * progress mutex, or before the pool starts. Checkpoint loss is
+     * survivable (the final save still happens): warn and continue.
+     * The snapshot walks the cells in canonical order, so even a
+     * mid-run checkpoint CSV is deterministic given the same set of
+     * completed cells.
+     */
+    void
+    checkpoint(MetricsRegistry &registry)
+    {
+        ScopedTimer checkpoint_timer(registry, "campaign/checkpoint");
+        Dataset snapshot = resumedBase;
+        for (const auto &cell : cells) {
+            if (cell.record)
+                snapshot.add(*cell.record);
+        }
+        std::size_t save_retries = 0;
+        auto saved = retryWithBackoff(
+            config.retry,
+            [&] {
+                return snapshot.saveResult(*cachePath,
+                                           shardTrailer(snapshot));
+            },
+            &save_retries);
+        report.retriesPerformed += save_retries;
+        if (saved.ok()) {
+            ++report.checkpointsWritten;
+            registry.add("campaign/checkpoints");
+        } else {
+            mosaic_warn("campaign checkpoint to ", *cachePath,
+                        " failed: ", saved.error().str());
+        }
+    }
+
+    /**
+     * The embedded manifest appended to every sharded CSV write
+     * (checkpoints included, so even a killed shard leaves a valid —
+     * merely incomplete — shard file behind for a degraded merge).
+     * Canonical layout order per pair comes from the prepped states;
+     * pairs whose prep failed contribute no order line and no rows.
+     */
+    std::string
+    shardTrailer(const Dataset &snapshot) const
+    {
+        if (!sharded)
+            return "";
+        std::vector<ShardPairOrder> order;
+        for (const auto &pair : pairs) {
+            const WorkloadState &state = states[pair.state];
+            if (state.error || state.layouts.empty())
+                continue;
+            ShardPairOrder entry;
+            entry.platform = pair.platform->name;
+            entry.workload = state.label;
+            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
+                entry.layouts.push_back(state.layouts[li].name);
+                entry.owned.push_back(ownsCell(pair, li));
+            }
+            order.push_back(std::move(entry));
+        }
+        ShardManifest manifest;
+        manifest.shardIndex = config.shardIndex;
+        manifest.shardCount = config.shardCount;
+        manifest.cells = snapshot.totalRuns();
+        manifest.expected = expectedCells;
+        manifest.cellsPerPair = cellsPerPair;
+        manifest.configHash = configHash;
+        const std::string csv = snapshot.toCsv();
+        const std::size_t header_bytes =
+            std::string(snapshot.csvHeader()).size() + 1; // + '\n'
+        manifest.rowCrc =
+            crc32(csv.data() + header_bytes, csv.size() - header_bytes);
+        return formatShardTrailer(manifest, order);
+    }
+
+    /** Merge the worker shards into the caller's registry on the
+     *  calling thread, in worker order, so the manifest is
+     *  deterministic for any jobs count. */
+    void
+    mergeShards()
+    {
+        MetricsRegistry &registry = context.metrics();
+        for (const auto &shard : prepShards)
+            registry.mergeFrom(shard);
+        for (unsigned worker = 0; worker < cellShards.size(); ++worker) {
+            registry.mergeFrom(cellShards[worker]);
+            // Per-worker phase breakdown for the run manifest: how much
+            // cell time each worker absorbed (seconds + cell count).
+            registry.addPhaseStats(
+                "campaign/worker/" + std::to_string(worker),
+                cellShards[worker].phase("campaign/cell"));
+        }
+        registry.set("campaign/jobs",
+                     static_cast<double>(cellShards.size()));
+        registry.set("campaign/sampled", sampled ? 1.0 : 0.0);
+        if (sharded) {
+            registry.set("campaign/shard_index",
+                         static_cast<double>(config.shardIndex));
+            registry.set("campaign/shard_count",
+                         static_cast<double>(config.shardCount));
+            registry.set("campaign/shard_cells_expected",
+                         static_cast<double>(expectedCells));
+        }
+        std::size_t trace_retries = 0;
+        for (const auto &state : states)
+            trace_retries += state.retries;
+        report.retriesPerformed += trace_retries;
+        if (trace_retries > 0)
+            registry.add("campaign/retries", trace_retries);
+    }
+
+    /**
+     * Stage 6: assemble the dataset pair by pair, each pair's rows in
+     * canonical layout order with resumed cells spliced back into
+     * their positions — so a resumed run's CSV is byte-identical to an
+     * uninterrupted one — then save it. The emitted set guards against
+     * duplicate keys (a cache with repeated rows, a grid naming a pair
+     * twice).
+     */
+    void
+    assembleAndSave()
+    {
+        std::size_t added = 0;
+        std::set<std::array<std::string, 3>> emitted;
+        auto emit = [&](const RunRecord &record, bool fresh) {
+            if (emitted
+                    .insert({record.platform, record.workload,
+                             record.layout})
+                    .second) {
+                report.dataset.add(record);
+                added += fresh ? 1 : 0;
+            }
+        };
+
+        // Pairs the cache fully covered, in cached row order
+        // (canonical whenever this engine wrote the cache).
+        for (const auto &[platform, label] : coveredPairs) {
+            for (const auto &record : resumeData->runs(platform, label))
+                emit(record, false);
+        }
+
+        // Scheduled pairs, in grid order. cells was built pair-major
+        // with ascending layout indices, so a single cursor walks it in
+        // lock-step with this loop.
+        std::size_t cursor = 0;
+        for (const auto &pair : pairs) {
+            const WorkloadState &state = states[pair.state];
+            const std::string &platform = pair.platform->name;
+            if (state.error) {
+                // Prep failed: keep whatever the cache held for the
+                // pair and report one pair-level failure.
+                if (resumeData && resumeData->has(platform, state.label)) {
+                    for (const auto &record :
+                         resumeData->runs(platform, state.label))
+                        emit(record, false);
+                }
+                report.failures.push_back(
+                    {platform, state.label, "*", *state.error});
+                continue;
+            }
+            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
+                const auto &named = state.layouts[li];
+                if (!ownsCell(pair, li))
+                    continue; // another shard's cell, never a local one
+                if (pair.done && pair.done->count(named.name)) {
+                    emit(resumedBase.findRun(platform, state.label,
+                                             named.name),
+                         false);
+                    continue;
+                }
+                Cell &cell = cells[cursor++];
+                if (cell.record)
+                    emit(*cell.record, true);
+                else if (cell.failure)
+                    report.failures.push_back(std::move(*cell.failure));
+            }
+        }
+        report.cellsCompleted += added;
+        context.metrics().add("campaign/cells_completed", added);
+        if (!report.failures.empty())
+            context.metrics().add("campaign/failures",
+                                  report.failures.size());
+        if (cachePath)
+            save();
+    }
+
+    void
+    save()
+    {
+        ScopedTimer save_timer(context.metrics(), "campaign/save");
+        std::size_t save_retries = 0;
+        auto saved = retryWithBackoff(
+            config.retry,
+            [&]() -> Result<void> {
+                if (sharded &&
+                    context.faults().shouldFail(FaultSite::ShardWrite))
+                    return ioError("injected shard-write fault");
+                return report.dataset.saveResult(
+                    *cachePath, shardTrailer(report.dataset));
+            },
+            &save_retries);
+        report.retriesPerformed += save_retries;
+        if (!saved.ok()) {
+            report.failures.push_back(
+                {"*", "*", "save",
+                 saved.error().withContext("final dataset save to " +
+                                           *cachePath)});
+        } else if (config.verbose) {
+            mosaic_inform("campaign: saved ", report.dataset.totalRuns(),
+                          " runs to ", *cachePath);
+        }
+    }
+};
+
 } // namespace
+
+Result<void>
+CampaignConfig::validate() const
+{
+    if (coWorkload.empty())
+        return Result<void>();
+    // Sampled replay is single-tenant: the interleaved tenant engine
+    // replays whole traces, and a partial interleave would change the
+    // contention the primary tenant sees.
+    if (sampling.enabled()) {
+        return configError("sampled replay is incompatible with "
+                           "co-workload interference");
+    }
+    // The interleave needs a bounded shared pool, and the shard
+    // partition hash does not cover co-tenancy (two shards with
+    // different co-workloads would merge into a nonsense dataset).
+    if (!os.paged()) {
+        return configError("co-workload interference requires a "
+                           "bounded frame pool (--mem-frames > 0)");
+    }
+    if (shardCount > 1)
+        return configError("co-workload campaigns cannot be sharded");
+    return Result<void>();
+}
 
 std::string
 CampaignReport::summary() const
@@ -317,8 +1121,9 @@ CampaignReport::summary() const
     return out;
 }
 
-CampaignRunner::CampaignRunner(CampaignConfig config)
-    : config_(std::move(config))
+CampaignRunner::CampaignRunner(CampaignConfig config,
+                               const SimContext &context)
+    : config_(std::move(config)), context_(context)
 {
     if (config_.workloads.empty())
         config_.workloads = workloads::workloadLabels();
@@ -335,811 +1140,19 @@ CampaignRunner::effectiveJobs() const
     return hw > 0 ? hw : 2;
 }
 
-std::vector<CellFailure>
-CampaignRunner::runPair(const workloads::Workload &workload,
-                        const cpu::PlatformSpec &platform,
-                        const CampaignConfig &config, Dataset &dataset,
-                        const std::set<std::string> *done_layouts,
-                        std::size_t *retries, const SimContext &context)
-{
-    const std::string label = workload.info().label();
-    std::vector<CellFailure> failures;
-    if (config.os.paged())
-        dataset.setSwapColumn(true);
-    if (config.sampling.enabled()) {
-        dataset.setEstErrColumn(true);
-        if (!config.coWorkload.empty()) {
-            failures.push_back(
-                {platform.name, label, "*",
-                 configError("sampled replay is incompatible with "
-                             "co-workload interference")});
-            return failures;
-        }
-    }
-
-    // The trace and the miss profile are layout-independent.
-    std::size_t trace_retries = 0;
-    auto trace_result =
-        obtainTrace(workload, config, trace_retries, context);
-    if (retries)
-        *retries += trace_retries;
-    if (!trace_result.ok()) {
-        failures.push_back({platform.name, label, "*",
-                            trace_result.error()});
-        return failures;
-    }
-    const trace::MemoryTrace &trace = trace_result.value();
-
-    std::optional<CoTenant> co_tenant;
-    if (!config.coWorkload.empty()) {
-        std::size_t co_retries = 0;
-        auto prepared = prepareCoTenant(config, co_retries, context);
-        if (retries)
-            *retries += co_retries;
-        if (!prepared.ok()) {
-            failures.push_back(
-                {platform.name, label, "*", prepared.error()});
-            return failures;
-        }
-        co_tenant = std::move(prepared).okOrThrow();
-    }
-
-    auto layouts_result = buildCampaignLayouts(workload, trace, config);
-    if (!layouts_result.ok()) {
-        failures.push_back(
-            {platform.name, label, "*", layouts_result.error()});
-        return failures;
-    }
-    const auto &layouts = layouts_result.value();
-
-    std::optional<sampling::SamplePlan> plan;
-    if (config.sampling.enabled()) {
-        auto plan_result =
-            buildWorkloadSamplePlan(trace, config, context);
-        if (!plan_result.ok()) {
-            failures.push_back(
-                {platform.name, label, "*", plan_result.error()});
-            return failures;
-        }
-        plan = std::move(plan_result).okOrThrow();
-    }
-
-    for (const auto &named : layouts) {
-        if (done_layouts && done_layouts->count(named.name))
-            continue;
-        ScopedTimer cell_timer(context.metrics(), "campaign/cell");
-        try {
-            RunRecord record;
-            record.platform = platform.name;
-            record.workload = label;
-            record.layout = named.name;
-            record.result = simulateCellResult(
-                platform, workload, named, trace, config,
-                co_tenant ? &*co_tenant : nullptr,
-                plan ? &*plan : nullptr, &record.estErr, context);
-            dataset.add(std::move(record));
-        } catch (const ResourceError &e) {
-            // A layout whose pages cannot even fit the frame budget is
-            // an isolated, structured Resource failure.
-            context.metrics().add("campaign/cells_failed");
-            failures.push_back(
-                {platform.name, label, named.name,
-                 Error(ErrorCategory::Resource, e.what())});
-        } catch (const std::exception &e) {
-            // One bad cell must not take down the pair: record it and
-            // keep simulating the remaining layouts.
-            context.metrics().add("campaign/cells_failed");
-            failures.push_back(
-                {platform.name, label, named.name,
-                 Error(ErrorCategory::Internal, e.what())});
-        }
-    }
-    return failures;
-}
-
 CampaignReport
 CampaignRunner::runImpl(const std::string *cache_path)
 {
-    CampaignReport report;
-    const bool swap_column = config_.os.paged();
-    if (swap_column)
-        report.dataset.setSwapColumn(true);
-    const bool sampled = config_.sampling.enabled();
-    if (sampled)
-        report.dataset.setEstErrColumn(true);
-
-    // Sampled replay is single-tenant: the interleaved tenant engine
-    // replays whole traces, and a partial interleave would change the
-    // contention the primary tenant sees.
-    if (sampled && !config_.coWorkload.empty()) {
-        report.failures.push_back(
-            {"*", config_.coWorkload, "*",
-             configError("sampled replay is incompatible with "
-                         "co-workload interference")});
-        return report;
-    }
-
-    // Multi-tenant invariants are config errors, not crashes: the
-    // interleave needs a bounded shared pool, and the shard partition
-    // hash does not cover co-tenancy (two shards with different
-    // co-workloads would merge into a nonsense dataset).
-    if (!config_.coWorkload.empty()) {
-        if (!config_.os.paged()) {
-            report.failures.push_back(
-                {"*", config_.coWorkload, "*",
-                 configError("co-workload interference requires a "
-                             "bounded frame pool (--mem-frames > 0)")});
-            return report;
-        }
-        if (config_.shardCount > 1) {
-            report.failures.push_back(
-                {"*", config_.coWorkload, "*",
-                 configError("co-workload campaigns cannot be "
-                             "sharded")});
-            return report;
-        }
-    }
-
-    using Key = std::pair<std::string, std::string>;
-    std::map<Key, std::set<std::string>> covered;
-
-    // Resumed cells, three ways: the raw cache (row order preserved,
-    // for pairs kept wholesale), a keyed index (for splicing resumed
-    // cells back into canonical layout positions of partially-done
-    // pairs), and a deduplicated base dataset (checkpoint snapshots).
-    std::optional<Dataset> resume_data;
-    std::map<std::array<std::string, 3>, RunRecord> resumed_records;
-    Dataset resumed_base;
-    resumed_base.setSwapColumn(swap_column);
-    resumed_base.setEstErrColumn(sampled);
-
-    // Resume: fold the (possibly partial, possibly damaged) cache and
-    // remember which cells it already covers. The cache may hold
-    // duplicate rows (a checkpoint that fired mid-pair on a run that
-    // later appended the same pair again); the per-pair done set keeps
-    // only the first occurrence of each layout.
-    if (cache_path) {
-        std::ifstream probe(*cache_path);
-        if (probe.good()) {
-            probe.close();
-            ScopedTimer resume_timer(metrics(), "campaign/resume");
-            std::size_t load_retries = 0;
-            auto cached = retryWithBackoff(
-                config_.retry,
-                [&] { return Dataset::loadResult(*cache_path); },
-                &load_retries);
-            report.retriesPerformed += load_retries;
-            if (cached.ok() &&
-                (cached.value().swapColumn() != swap_column ||
-                 cached.value().estErrColumn() != sampled)) {
-                // A cache in a different CSV format holds rows
-                // measured under different semantics (OS layer, or
-                // full vs sampled replay); splicing them in would mix
-                // incommensurable counters.
-                mosaic_warn("campaign cache ", *cache_path,
-                            " has a different CSV format (swap column ",
-                            cached.value().swapColumn() ? "present"
-                                                        : "absent",
-                            ", est_err column ",
-                            cached.value().estErrColumn() ? "present"
-                                                          : "absent",
-                            "); starting fresh");
-            } else if (cached.ok()) {
-                resume_data = std::move(cached.value());
-                for (const auto &platform : config_.platforms) {
-                    for (const auto &label : config_.workloads) {
-                        if (!resume_data->has(platform.name, label))
-                            continue;
-                        auto &done = covered[{platform.name, label}];
-                        for (const auto &record :
-                             resume_data->runs(platform.name, label)) {
-                            if (!done.insert(record.layout).second)
-                                continue;
-                            resumed_base.add(record);
-                            resumed_records.emplace(
-                                std::array<std::string, 3>{
-                                    platform.name, label, record.layout},
-                                record);
-                            ++report.cellsResumed;
-                        }
-                    }
-                }
-                metrics().add("campaign/cells_resumed",
-                              report.cellsResumed);
-                if (config_.verbose && report.cellsResumed > 0) {
-                    mosaic_inform("campaign: resuming, ",
-                                  report.cellsResumed,
-                                  " cell(s) already in ", *cache_path);
-                }
-            } else {
-                mosaic_warn("campaign cache ", *cache_path,
-                            " unusable (", cached.error().str(),
-                            "); starting fresh");
-            }
-        }
-    }
-
-    // The interference partner is prepared once, up front: its trace
-    // and baseline layout are inputs to *every* cell, so a co-workload
-    // that cannot be built fails the campaign as a whole (one
-    // structured Config/Io failure), not cell by cell.
-    std::optional<CoTenant> co_tenant;
-    if (!config_.coWorkload.empty()) {
-        std::size_t co_retries = 0;
-        auto prepared =
-            prepareCoTenant(config_, co_retries, globalSimContext());
-        report.retriesPerformed += co_retries;
-        if (!prepared.ok()) {
-            report.failures.push_back(
-                {"*", config_.coWorkload, "*", prepared.error()});
-            return report;
-        }
-        co_tenant = std::move(prepared).okOrThrow();
-    }
-
-    // ---- Schedule: one shared state per distinct workload, pairs in
-    // grid order. The pair/cell orders fixed here define the canonical
-    // result order, independent of how workers interleave. ----
-
-    /** Shared immutable inputs of one workload's cells, prepared once
-     *  (trace + layouts are platform-independent). */
-    struct WorkloadState
-    {
-        std::string label;
-        std::unique_ptr<workloads::Workload> workload;
-        std::shared_ptr<const trace::MemoryTrace> trace;
-        std::vector<layouts::NamedLayout> layouts;
-
-        /** Sampled campaigns: the workload's replay plan, shared by
-         *  every cell (layout- and platform-independent). */
-        std::shared_ptr<const sampling::SamplePlan> plan;
-
-        std::size_t retries = 0;
-        std::optional<Error> error;
-    };
-
-    struct PairTask
-    {
-        std::size_t state;
-        const cpu::PlatformSpec *platform;
-        const std::set<std::string> *done = nullptr;
-
-        /** Open cells; decremented under the progress mutex. */
-        std::size_t cellsRemaining = 0;
-
-        /** Position in the deduplicated grid walk — the pair's
-         *  coordinate in the shard partition, identical in every
-         *  shard of a campaign. */
-        std::size_t ordinal = 0;
-    };
-
-    const bool sharded = config_.shardCount > 1;
-    const std::size_t cells_per_pair = expectedCellsPerPair();
-    auto ownsCell = [&](const PairTask &pair, std::size_t layout) {
-        return !sharded ||
-               shardOwnsCell(config_.shardIndex, config_.shardCount,
-                             pair.ordinal, layout, cells_per_pair);
-    };
-
-    std::vector<WorkloadState> states;
-    std::map<std::string, std::size_t> state_index;
-    std::vector<PairTask> pairs;
-    std::vector<Key> covered_pairs;
-    std::set<Key> scheduled;
-    std::size_t grid_ordinal = 0;
-    for (const auto &label : config_.workloads) {
-        for (const auto &platform : config_.platforms) {
-            if (!scheduled.insert({platform.name, label}).second)
-                continue; // pair named twice in the grid; run it once
-            const std::size_t ordinal = grid_ordinal++;
-            if (sharded &&
-                shardCellsOfPair(config_.shardIndex, config_.shardCount,
-                                 ordinal, cells_per_pair) == 0)
-                continue; // the partition gave this pair to others
-            auto it = covered.find({platform.name, label});
-            const std::set<std::string> *done =
-                it == covered.end() ? nullptr : &it->second;
-            // A fully covered pair keeps its cached rows without even
-            // a trace — but only unsharded: a shard always preps its
-            // pairs, because the shard manifest must name the pair's
-            // canonical layout order and only the layout builder knows
-            // it.
-            if (!sharded && done &&
-                done->size() >= expectedCellsPerPair()) {
-                covered_pairs.push_back({platform.name, label});
-                continue;
-            }
-            auto [state_it, inserted] =
-                state_index.try_emplace(label, states.size());
-            if (inserted)
-                states.push_back(
-                    {label, nullptr, nullptr, {}, nullptr, 0, {}});
-            pairs.push_back(
-                {state_it->second, &platform, done, 0, ordinal});
-        }
-    }
-
-    const unsigned jobs = effectiveJobs();
-    auto runPool = [](unsigned n, auto &&body) {
-        std::vector<std::thread> pool;
-        for (unsigned i = 0; i < n; ++i)
-            pool.emplace_back(body, i);
-        for (auto &thread : pool)
-            thread.join();
-    };
-
-    // ---- Phase 1: prepare workloads (factory + trace + layouts) in
-    // parallel. Each worker publishes into a private shard. ----
-    const unsigned prep_jobs = std::min<unsigned>(
-        jobs, std::max<std::size_t>(states.size(), 1));
-    std::vector<MetricsRegistry> prep_shards(prep_jobs);
-    std::atomic<std::size_t> next_state{0};
-    StopWatch campaign_watch;
-    runPool(prep_jobs, [&](unsigned worker) {
-        SimContext context(prep_shards[worker], faults(), config_.seed,
-                           worker);
-        while (true) {
-            std::size_t index = next_state.fetch_add(1);
-            if (index >= states.size())
-                return;
-            WorkloadState &state = states[index];
-            try {
-                state.workload =
-                    makeConfiguredWorkload(config_, state.label);
-            } catch (const std::exception &e) {
-                state.error = Error(ErrorCategory::Config, e.what());
-                continue;
-            }
-            auto trace_result = obtainTrace(*state.workload, config_,
-                                            state.retries, context);
-            if (!trace_result.ok()) {
-                state.error = trace_result.error();
-                continue;
-            }
-            auto layouts_result = buildCampaignLayouts(
-                *state.workload, trace_result.value(), config_);
-            if (!layouts_result.ok()) {
-                state.error = layouts_result.error();
-                continue;
-            }
-            state.layouts = std::move(layouts_result).okOrThrow();
-            state.trace = std::make_shared<trace::MemoryTrace>(
-                std::move(trace_result).okOrThrow());
-            if (sampled) {
-                auto plan_result = buildWorkloadSamplePlan(
-                    *state.trace, config_, context);
-                if (!plan_result.ok()) {
-                    state.error = plan_result.error();
-                    continue;
-                }
-                state.plan =
-                    std::make_shared<const sampling::SamplePlan>(
-                        std::move(plan_result).okOrThrow());
-            }
-        }
-    });
-
-    // ---- Phase 2: simulate every open cell over the worker pool.
-    // The cell list (and the slot each result lands in) is in
-    // canonical order: pairs in grid order, layouts in builder order —
-    // the exact order the old sequential engine produced. ----
-    struct Cell
-    {
-        std::size_t pair;
-        std::size_t layout;
-    };
-
-    /** Exactly one of record/failure is set once the cell ran. */
-    struct CellOutcome
-    {
-        std::optional<RunRecord> record;
-        std::optional<CellFailure> failure;
-    };
-
-    std::vector<Cell> cells;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-        PairTask &pair = pairs[p];
-        const WorkloadState &state = states[pair.state];
-        if (state.error)
-            continue; // whole pair failed in prep; reported below
-        for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-            if (!ownsCell(pair, li))
-                continue; // another shard's cell
-            if (pair.done && pair.done->count(state.layouts[li].name))
-                continue;
-            cells.push_back({p, li});
-            ++pair.cellsRemaining;
-        }
-    }
-
-    // Pairs this run resolves: ones with open cells plus ones whose
-    // prep failed. Both advance the checkpoint cadence, as in the
-    // sequential engine — a failed pair still flushes progress, so a
-    // later crash resumes from the freshest state.
-    std::size_t failed_pairs = 0;
-    std::size_t live_pairs = 0;
-    for (const auto &pair : pairs) {
-        if (states[pair.state].error)
-            ++failed_pairs;
-        else if (pair.cellsRemaining > 0)
-            ++live_pairs;
-    }
-    const std::size_t total_pairs = live_pairs + failed_pairs;
-
-    std::vector<CellOutcome> slots(cells.size());
-    std::mutex progress_mutex;
-    std::atomic<std::size_t> next_cell{0};
-    std::size_t cells_done = 0;
-    std::size_t pairs_done = 0;
-    std::size_t since_checkpoint = 0;
-
-    // Everything that defines the shard partition, hashed: two shard
-    // CSVs merge only when these agree.
-    std::vector<std::string> platform_names;
-    for (const auto &platform : config_.platforms)
-        platform_names.push_back(platform.name);
-    // The OS configuration changes every cell's counters, so it must
-    // be part of the partition identity: shards of a paging campaign
-    // never merge with shards of a classic one (or of a paging
-    // campaign with different frame budget, policy, or costs). Folding
-    // it into the seed reuses the existing hash without changing the
-    // manifest format.
-    std::uint64_t partition_seed = config_.seed;
-    if (config_.os.paged()) {
-        const std::string os_tag = detail::concat(
-            "os/", config_.os.memFrames, "/",
-            vm::replacementPolicyName(config_.os.policy), "/",
-            config_.os.majorFaultCycles, "/",
-            config_.os.writebackCycles);
-        partition_seed ^= (0x6f73ULL << 32) |
-                          crc32(os_tag.data(), os_tag.size());
-    }
-    // Sampled counters are incommensurable with full-replay ones for
-    // the same reason, and so are two different sampling configs:
-    // fold the sampling tag in exactly like the OS tag.
-    if (sampled) {
-        const std::string sample_tag = config_.sampling.tag();
-        partition_seed ^= (0x73616dULL << 32) |
-                          crc32(sample_tag.data(), sample_tag.size());
-    }
-    const std::uint32_t config_hash = shardConfigHash(
-        config_.workloads, platform_names, config_.include1g,
-        partition_seed, cells_per_pair, config_.shardCount);
-    std::size_t expected_cells = 0;
-    for (const auto &pair : pairs) {
-        expected_cells +=
-            shardCellsOfPair(config_.shardIndex, config_.shardCount,
-                             pair.ordinal, cells_per_pair);
-    }
-
-    // The embedded manifest appended to every sharded CSV write
-    // (checkpoints included, so even a killed shard leaves a valid —
-    // merely incomplete — shard file behind for a degraded merge).
-    // Canonical layout order per pair comes from the prepped states;
-    // pairs whose prep failed contribute no order line and no rows.
-    auto makeShardTrailer = [&](const Dataset &snapshot) -> std::string {
-        if (!sharded)
-            return "";
-        std::vector<ShardPairOrder> order;
-        for (const auto &pair : pairs) {
-            const WorkloadState &state = states[pair.state];
-            if (state.error || state.layouts.empty())
-                continue;
-            ShardPairOrder entry;
-            entry.platform = pair.platform->name;
-            entry.workload = state.label;
-            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-                entry.layouts.push_back(state.layouts[li].name);
-                entry.owned.push_back(ownsCell(pair, li));
-            }
-            order.push_back(std::move(entry));
-        }
-        ShardManifest manifest;
-        manifest.shardIndex = config_.shardIndex;
-        manifest.shardCount = config_.shardCount;
-        manifest.cells = snapshot.totalRuns();
-        manifest.expected = expected_cells;
-        manifest.cellsPerPair = cells_per_pair;
-        manifest.configHash = config_hash;
-        const std::string csv = snapshot.toCsv();
-        const std::size_t header_bytes =
-            std::string(snapshot.csvHeader()).size() + 1; // + '\n'
-        manifest.rowCrc = crc32(csv.data() + header_bytes,
-                                csv.size() - header_bytes);
-        return formatShardTrailer(manifest, order);
-    };
-
-    // Called under progress_mutex. Checkpoint loss is survivable (the
-    // final save still happens); warn and continue. The snapshot walks
-    // the slots in canonical order, so even a mid-run checkpoint CSV
-    // is deterministic given the same set of completed cells.
-    auto checkpointLocked = [&]() {
-        ScopedTimer checkpoint_timer(metrics(), "campaign/checkpoint");
-        Dataset snapshot = resumed_base;
-        for (const auto &slot : slots) {
-            if (slot.record)
-                snapshot.add(*slot.record);
-        }
-        std::size_t save_retries = 0;
-        auto saved = retryWithBackoff(
-            config_.retry,
-            [&] {
-                return snapshot.saveResult(*cache_path,
-                                           makeShardTrailer(snapshot));
-            },
-            &save_retries);
-        report.retriesPerformed += save_retries;
-        if (saved.ok()) {
-            ++report.checkpointsWritten;
-            metrics().add("campaign/checkpoints");
-        } else {
-            mosaic_warn("campaign checkpoint to ", *cache_path,
-                        " failed: ", saved.error().str());
-        }
-    };
-
-    // Account for prep-failed pairs up front (they have no cells to
-    // wait for), checkpointing on the same cadence a completed pair
-    // would.
-    for (std::size_t burned = 0; burned < failed_pairs; ++burned) {
-        ++pairs_done;
-        if (cache_path && config_.checkpointEvery > 0 &&
-            ++since_checkpoint >= config_.checkpointEvery &&
-            pairs_done < total_pairs) {
-            since_checkpoint = 0;
-            checkpointLocked();
-        }
-    }
-
-    const unsigned cell_jobs = std::min<unsigned>(
-        jobs, std::max<std::size_t>(cells.size(), 1));
-    std::vector<MetricsRegistry> cell_shards(cell_jobs);
-    runPool(cell_jobs, [&](unsigned worker) {
-        MetricsRegistry &shard = cell_shards[worker];
-        SimContext context(shard, faults(), config_.seed, worker);
-
-        while (true) {
-            std::size_t index = next_cell.fetch_add(1);
-            if (index >= cells.size())
-                return;
-            const Cell &cell = cells[index];
-            PairTask &pair = pairs[cell.pair];
-            const WorkloadState &state = states[pair.state];
-            const auto &named = state.layouts[cell.layout];
-
-            // The cooperative deadline is checked inside the replay
-            // loops (per chunk), so an expired budget surfaces here as
-            // TimeoutError.
-            SimContext cell_context = context;
-            if (config_.cellTimeoutSeconds > 0.0) {
-                auto budget = std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        config_.cellTimeoutSeconds));
-                cell_context = context.withDeadline(
-                    std::chrono::steady_clock::now() + budget);
-            }
-
-            // Simulate outside any lock: each worker owns its System;
-            // the trace and layout are shared immutable.
-            CellOutcome outcome;
-            ScopedTimer cell_timer(shard, "campaign/cell");
-            try {
-                RunRecord record;
-                record.platform = pair.platform->name;
-                record.workload = state.label;
-                record.layout = named.name;
-                record.result = simulateCellResult(
-                    *pair.platform, *state.workload, named,
-                    *state.trace, config_,
-                    co_tenant ? &*co_tenant : nullptr,
-                    state.plan.get(), &record.estErr, cell_context);
-                outcome.record = std::move(record);
-            } catch (const ResourceError &e) {
-                // The frame budget cannot hold the cell's pages: an
-                // isolated, structured Resource failure — the pool
-                // exhaustion analog of a timeout.
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name,
-                                Error(ErrorCategory::Resource,
-                                      e.what())};
-            } catch (const TimeoutError &e) {
-                // The watchdog fired: a hung cell is an isolated
-                // Timeout failure, not a wedged worker.
-                shard.add("campaign/cells_timed_out");
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name, timeoutError(e.what())};
-            } catch (const std::exception &e) {
-                // One bad cell must not take down the pair: record it
-                // and keep simulating the remaining layouts.
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name,
-                                Error(ErrorCategory::Internal, e.what())};
-            }
-            cell_timer.stop();
-
-            // Commit under the progress mutex: slot writes, pair
-            // accounting, heartbeat composition, checkpoint cadence.
-            std::string heartbeat;
-            {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                slots[index] = std::move(outcome);
-                ++cells_done;
-                --pair.cellsRemaining;
-                if (pair.cellsRemaining == 0) {
-                    ++pairs_done;
-                    if (config_.verbose) {
-                        // Heartbeat: progress plus throughput and ETA,
-                        // so a long grid is never a silent black box.
-                        double elapsed =
-                            campaign_watch.elapsedSeconds();
-                        double rate =
-                            elapsed > 0.0
-                                ? static_cast<double>(cells_done) /
-                                      elapsed
-                                : 0.0;
-                        double eta =
-                            rate > 0.0
-                                ? static_cast<double>(cells.size() -
-                                                      cells_done) /
-                                      rate
-                                : 0.0;
-                        char pace[96];
-                        std::snprintf(pace, sizeof pace,
-                                      "%.2f cells/sec, ETA %.0fs",
-                                      rate, eta);
-                        heartbeat = detail::concat(
-                            "campaign: ", pairs_done, "/", total_pairs,
-                            " pairs done (", pair.platform->name, " ",
-                            state.label, ") — ", pace);
-                    }
-                    if (cache_path && config_.checkpointEvery > 0 &&
-                        ++since_checkpoint >= config_.checkpointEvery &&
-                        pairs_done < total_pairs) {
-                        since_checkpoint = 0;
-                        checkpointLocked();
-                    }
-                }
-            }
-            // Every worker-side progress line goes through the
-            // mutex-protected logging layer, composed as one complete
-            // line, so parallel workers never interleave mid-line.
-            if (!heartbeat.empty())
-                mosaic_inform(heartbeat);
-        }
-    });
-
-    // ---- Join: merge worker shards into the global registry in
-    // worker order (deterministic manifest for any jobs count), then
-    // assemble results in canonical slot order. ----
-    for (const auto &shard : prep_shards)
-        metrics().mergeFrom(shard);
-    for (unsigned worker = 0; worker < cell_shards.size(); ++worker) {
-        metrics().mergeFrom(cell_shards[worker]);
-        // Per-worker phase breakdown for the run manifest: how much
-        // cell time each worker absorbed (seconds + cell count).
-        metrics().addPhaseStats(
-            "campaign/worker/" + std::to_string(worker),
-            cell_shards[worker].phase("campaign/cell"));
-    }
-    metrics().set("campaign/jobs", static_cast<double>(cell_jobs));
-    metrics().set("campaign/sampled", sampled ? 1.0 : 0.0);
-    if (sharded) {
-        metrics().set("campaign/shard_index",
-                      static_cast<double>(config_.shardIndex));
-        metrics().set("campaign/shard_count",
-                      static_cast<double>(config_.shardCount));
-        metrics().set("campaign/shard_cells_expected",
-                      static_cast<double>(expected_cells));
-    }
-
-    std::size_t trace_retries = 0;
-    for (const auto &state : states)
-        trace_retries += state.retries;
-    report.retriesPerformed += trace_retries;
-    if (trace_retries > 0)
-        metrics().add("campaign/retries", trace_retries);
-
-    // Assemble the dataset pair by pair, each pair's rows in canonical
-    // layout order with resumed cells spliced back into their
-    // positions — so a resumed run's CSV is byte-identical to an
-    // uninterrupted one. The emitted set guards against duplicate keys
-    // (a cache with repeated rows, a grid naming a pair twice).
-    std::size_t added = 0;
-    std::set<std::array<std::string, 3>> emitted;
-    auto emitRecord = [&](const RunRecord &record, bool fresh) {
-        if (!emitted
-                 .insert({record.platform, record.workload,
-                          record.layout})
-                 .second) {
-            return;
-        }
-        report.dataset.add(record);
-        if (fresh)
-            ++added;
-    };
-
-    // Pairs the cache fully covered, in cached row order (canonical
-    // whenever this engine wrote the cache).
-    for (const auto &[platform, label] : covered_pairs) {
-        for (const auto &record : resume_data->runs(platform, label))
-            emitRecord(record, false);
-    }
-
-    // Scheduled pairs, in grid order. cells[] was built pair-major
-    // with ascending layout indices, so a single cursor walks the
-    // slots in lock-step with this loop.
-    std::size_t cursor = 0;
-    for (const auto &pair : pairs) {
-        const WorkloadState &state = states[pair.state];
-        if (state.error) {
-            // Prep failed: keep whatever the cache held for the pair
-            // and report one pair-level failure.
-            if (resume_data &&
-                resume_data->has(pair.platform->name, state.label)) {
-                for (const auto &record :
-                     resume_data->runs(pair.platform->name, state.label))
-                    emitRecord(record, false);
-            }
-            report.failures.push_back({pair.platform->name, state.label,
-                                       "*", *state.error});
-            continue;
-        }
-        for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-            const auto &named = state.layouts[li];
-            if (!ownsCell(pair, li))
-                continue; // another shard's cell, never a local slot
-            if (pair.done && pair.done->count(named.name)) {
-                auto it = resumed_records.find(
-                    {pair.platform->name, state.label, named.name});
-                if (it != resumed_records.end())
-                    emitRecord(it->second, false);
-                continue;
-            }
-            CellOutcome &slot = slots[cursor++];
-            if (slot.record)
-                emitRecord(*slot.record, true);
-            else if (slot.failure)
-                report.failures.push_back(std::move(*slot.failure));
-        }
-    }
-    report.cellsCompleted += added;
-    metrics().add("campaign/cells_completed", added);
-    if (!report.failures.empty())
-        metrics().add("campaign/failures", report.failures.size());
-
-    if (cache_path) {
-        ScopedTimer save_timer(metrics(), "campaign/save");
-        std::size_t save_retries = 0;
-        auto saved = retryWithBackoff(
-            config_.retry,
-            [&]() -> Result<void> {
-                if (sharded &&
-                    faults().shouldFail(FaultSite::ShardWrite))
-                    return ioError("injected shard-write fault");
-                return report.dataset.saveResult(
-                    *cache_path, makeShardTrailer(report.dataset));
-            },
-            &save_retries);
-        report.retriesPerformed += save_retries;
-        if (!saved.ok()) {
-            report.failures.push_back(
-                {"*", "*", "save",
-                 saved.error().withContext("final dataset save to " +
-                                           *cache_path)});
-        } else if (config_.verbose) {
-            mosaic_inform("campaign: saved ",
-                          report.dataset.totalRuns(), " runs to ",
-                          *cache_path);
-        }
-    }
-    return report;
+    CampaignRun run(*this, context_, cache_path);
+    if (!run.validate())
+        return std::move(run.report);
+    run.indexResumeCache();
+    run.scheduleGrid();
+    if (!run.prepareWorkloads())
+        return std::move(run.report);
+    run.executeCells();
+    run.assembleAndSave();
+    return std::move(run.report);
 }
 
 CampaignReport
@@ -1155,74 +1168,34 @@ CampaignRunner::runReport(const std::string &cache_path)
 }
 
 Dataset
-CampaignRunner::run()
-{
-    CampaignReport report = runReport();
-    if (!report.allOk())
-        mosaic_warn(report.summary());
-    return std::move(report.dataset);
-}
-
-Dataset
 CampaignRunner::loadOrRun(const std::string &cache_path)
 {
     std::ifstream probe(cache_path);
     if (probe.good()) {
         probe.close();
         auto cached = Dataset::loadResult(cache_path);
-        if (cached.ok() &&
-            (cached.value().swapColumn() != config_.os.paged() ||
-             cached.value().estErrColumn() !=
-                 config_.sampling.enabled())) {
-            mosaic_warn("campaign cache ", cache_path,
-                        " has a different CSV format (swap column ",
-                        cached.value().swapColumn() ? "present"
-                                                    : "absent",
-                        ", est_err column ",
-                        cached.value().estErrColumn() ? "present"
-                                                      : "absent",
-                        "); re-running");
-        } else if (cached.ok()) {
+        if (!cached.ok()) {
+            mosaic_warn("campaign cache ", cache_path, " unusable (",
+                        cached.error().str(), "); re-running");
+        } else if (cacheFormatMatches(cached.value(), config_,
+                                      cache_path, "re-running")) {
+            // Count distinct layouts, not raw rows: a cache holding
+            // duplicate rows but missing layouts must read as
+            // incomplete, or the missing cells would never be
+            // simulated (as the resume index dedups them too).
             bool complete = true;
-            // Mirror runImpl's grid walk (deduplicated, label-major)
-            // so pair ordinals — and with them the per-pair cell
-            // quota of a sharded campaign — match the scheduler's.
-            const bool sharded = config_.shardCount > 1;
-            std::set<std::pair<std::string, std::string>> seen;
-            std::size_t ordinal = 0;
-            for (const auto &label : config_.workloads) {
-                for (const auto &platform : config_.platforms) {
-                    if (!seen.insert({platform.name, label}).second)
-                        continue;
-                    const std::size_t pair_ordinal = ordinal++;
-                    const std::size_t want =
-                        sharded ? shardCellsOfPair(
-                                      config_.shardIndex,
-                                      config_.shardCount, pair_ordinal,
-                                      expectedCellsPerPair())
-                                : expectedCellsPerPair();
-                    if (want == 0)
-                        continue; // pair fully owned by other shards
-                    if (!cached.value().has(platform.name, label)) {
-                        complete = false;
-                        break;
-                    }
-                    // Count distinct layouts, not raw rows: a cache
-                    // holding duplicate rows but missing layouts must
-                    // read as incomplete, or the missing cells would
-                    // never be simulated (mirrors the admitted-set
-                    // dedup in runImpl).
-                    std::set<std::string> distinct;
-                    for (const auto &record :
-                         cached.value().runs(platform.name, label))
+            for (const GridPair &pair :
+                 walkGrid(config_, expectedCellsPerPair())) {
+                std::set<std::string> distinct;
+                if (cached.value().has(pair.platform->name, pair.label)) {
+                    for (const auto &record : cached.value().runs(
+                             pair.platform->name, pair.label))
                         distinct.insert(record.layout);
-                    if (distinct.size() < want) {
-                        complete = false;
-                        break;
-                    }
                 }
-                if (!complete)
+                if (distinct.size() < pair.cells) {
+                    complete = false;
                     break;
+                }
             }
             if (complete) {
                 if (config_.verbose) {
@@ -1234,9 +1207,6 @@ CampaignRunner::loadOrRun(const std::string &cache_path)
             }
             mosaic_warn("campaign cache ", cache_path,
                         " is incomplete; resuming the missing cells");
-        } else {
-            mosaic_warn("campaign cache ", cache_path, " unusable (",
-                        cached.error().str(), "); re-running");
         }
     }
 

@@ -7,7 +7,7 @@
  * platform- and layout-independent), then every (platform, workload,
  * layout) cell is simulated by a work-queue scheduler over `jobs`
  * worker threads. Each worker owns a private metrics shard and a
- * SimContext, so the replay hot path never contends on the global
+ * SimContext, so the replay hot path never contends on the caller's
  * registry; shards merge into it — in worker order — when the pool
  * joins. Results land in canonically ordered slots, so the dataset
  * (and the saved CSV) is byte-identical for any worker count. A CSV
@@ -26,7 +26,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -150,6 +149,13 @@ struct CampaignConfig
      * cell is an isolated failure, never a wedged worker.
      */
     double cellTimeoutSeconds = 0.0;
+
+    /**
+     * The invariants no runner can honor, as one Config error: a
+     * co-workload needs a bounded frame pool, cannot be sharded, and
+     * cannot be combined with sampled replay.
+     */
+    Result<void> validate() const;
 };
 
 /** One failed campaign cell, with the error that killed it. */
@@ -190,12 +196,21 @@ struct CampaignReport
 };
 
 /**
- * Runs campaigns and serves cached results.
+ * Runs campaigns and serves cached results. The only code that turns a
+ * (platform, workload) pair into dataset rows: one-pair callers (the
+ * serve daemon's cold fill, the examples) run a one-pair campaign.
+ *
+ * Worker metric shards merge into the caller's SimContext sink on the
+ * calling thread, faults come from its injector view, and its deadline
+ * bounds every cell (together with cellTimeoutSeconds): once it has
+ * passed, the remaining cells fail as timeouts without replaying.
  */
 class CampaignRunner
 {
   public:
-    explicit CampaignRunner(CampaignConfig config = CampaignConfig());
+    explicit CampaignRunner(
+        CampaignConfig config = CampaignConfig(),
+        const SimContext &context = globalSimContext());
 
     /** Run everything (no cache), reporting per-cell failures. */
     CampaignReport runReport();
@@ -207,29 +222,11 @@ class CampaignRunner
      */
     CampaignReport runReport(const std::string &cache_path);
 
-    /** Run everything (no cache); warns if any cell failed. */
-    Dataset run();
-
     /**
      * Load @p cache_path if it exists and covers the configured
      * (platform, workload) grid; otherwise resume/run and save.
      */
     Dataset loadOrRun(const std::string &cache_path);
-
-    /**
-     * Run one (workload, platform) pair: generate (or load from the
-     * trace cache) the trace, build the 54+1 layouts, simulate each,
-     * and append records to @p dataset. Layout names in
-     * @p done_layouts are skipped (campaign resume). Failing cells
-     * are returned, not thrown.
-     */
-    static std::vector<CellFailure> runPair(
-        const workloads::Workload &workload,
-        const cpu::PlatformSpec &platform, const CampaignConfig &config,
-        Dataset &dataset,
-        const std::set<std::string> *done_layouts = nullptr,
-        std::size_t *retries = nullptr,
-        const SimContext &context = globalSimContext());
 
     const CampaignConfig &config() const { return config_; }
 
@@ -248,6 +245,7 @@ class CampaignRunner
     CampaignReport runImpl(const std::string *cache_path);
 
     CampaignConfig config_;
+    SimContext context_;
 };
 
 /**

@@ -81,10 +81,12 @@ Dataset::totalRuns() const
     return total;
 }
 
-models::SampleSet
-Dataset::sampleSet(const std::string &platform,
-                   const std::string &workload) const
+Result<models::SampleSet>
+Dataset::sampleSetResult(const std::string &platform,
+                         const std::string &workload) const
 {
+    if (!has(platform, workload))
+        return configError("no runs for " + platform + "/" + workload);
     models::SampleSet set;
     bool got4k = false, got2m = false, got1g = false;
     for (const auto &record : runs(platform, workload)) {
@@ -103,11 +105,22 @@ Dataset::sampleSet(const std::string &platform,
             got2m = true;
         }
     }
-    mosaic_assert(got4k && got2m, "missing uniform reference layouts for ",
-                  platform, "/", workload);
+    if (!got4k || !got2m) {
+        return configError("missing uniform reference layouts for " +
+                           platform + "/" + workload);
+    }
     if (!got1g)
         set.all1g = set.all2m; // Tolerate campaigns without a 1GB run.
     return set;
+}
+
+models::SampleSet
+Dataset::sampleSet(const std::string &platform,
+                   const std::string &workload) const
+{
+    auto set = sampleSetResult(platform, workload);
+    mosaic_assert(set.ok(), set.error().message());
+    return std::move(set).okOrThrow();
 }
 
 const RunRecord &

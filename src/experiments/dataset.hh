@@ -72,7 +72,16 @@ class Dataset
     /**
      * Convert one pair's runs into the model-facing SampleSet: the 54
      * campaign layouts as samples, the uniform layouts as references.
+     * The all-1GB run is held out of the samples (the case-study test
+     * set); all-2MB stands in for it when the pair has none. A pair
+     * that is absent or lacks its all-4KB or all-2MB run (a partial
+     * campaign) is a Config error.
      */
+    Result<models::SampleSet>
+    sampleSetResult(const std::string &platform,
+                    const std::string &workload) const;
+
+    /** Asserting wrapper around sampleSetResult(). */
     models::SampleSet sampleSet(const std::string &platform,
                                 const std::string &workload) const;
 

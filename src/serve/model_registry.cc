@@ -1,93 +1,21 @@
 #include "serve/model_registry.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <fstream>
-#include <optional>
 
 #include "cpu/platform.hh"
-#include "cpu/system.hh"
 #include "experiments/campaign.hh"
 #include "experiments/dataset.hh"
 #include "experiments/report.hh"
-#include "layouts/heuristics.hh"
-#include "sampling/sampled_run.hh"
-#include "support/io_util.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "trace/miss_profile.hh"
-#include "trace/trace_store.hh"
-#include "workloads/registry.hh"
 
 namespace mosaic::serve
 {
 
-namespace
-{
-
-/** Non-fatal platform lookup (platformByName aborts on unknowns). */
-Result<cpu::PlatformSpec>
-findPlatform(const std::string &name)
-{
-    for (auto &spec : cpu::allPlatforms()) {
-        if (spec.name == name)
-            return spec;
-    }
-    return configError("unknown platform '" + name + "'");
-}
-
-/**
- * Assemble the model-facing SampleSet from cold-path run results,
- * mirroring Dataset::sampleSet() exactly (the 1GB point held out as
- * the case-study test set, all-2MB standing in when 1GB is absent) so
- * a cold-simulated surface predicts identically to the same surface
- * loaded from a campaign CSV.
- */
-Result<models::SampleSet>
-assembleSampleSet(const std::vector<exp::RunRecord> &records,
-                  const std::string &platform,
-                  const std::string &workload)
-{
-    models::SampleSet set;
-    bool got4k = false, got2m = false, got1g = false;
-    for (const auto &record : records) {
-        models::Sample sample = exp::toSample(record);
-        if (record.layout == exp::layoutAll1g) {
-            set.all1g = sample;
-            got1g = true;
-            continue;
-        }
-        set.samples.push_back(sample);
-        if (record.layout == exp::layoutAll4k) {
-            set.all4k = sample;
-            got4k = true;
-        } else if (record.layout == exp::layoutAll2m) {
-            set.all2m = sample;
-            got2m = true;
-        }
-    }
-    if (!got4k || !got2m) {
-        return Error(ErrorCategory::Internal,
-                     "cold simulation lost a uniform reference "
-                     "layout for " +
-                         platform + "/" + workload);
-    }
-    if (!got1g)
-        set.all1g = set.all2m;
-    return set;
-}
-
-} // namespace
-
 ModelRegistry::ModelRegistry(Options options)
     : options_(std::move(options))
 {
-    if (!options_.workloadFactory) {
-        options_.workloadFactory = [](const std::string &label) {
-            return workloads::makeWorkload(label);
-        };
-    }
 }
 
 const std::vector<std::string> &
@@ -117,24 +45,19 @@ ModelRegistry::loadDataset(const std::string &path)
         for (const auto &workload : dataset.workloads()) {
             if (!dataset.has(platform, workload))
                 continue;
-            // sampleSet() asserts on a pair missing its uniform
-            // references (a partial campaign); skip such pairs here
-            // so one torn pair cannot keep the daemon from serving
-            // the rest.
-            bool got4k = false, got2m = false;
-            for (const auto &record : dataset.runs(platform, workload)) {
-                got4k = got4k || record.layout == exp::layoutAll4k;
-                got2m = got2m || record.layout == exp::layoutAll2m;
-            }
-            if (!got4k || !got2m) {
+            // A pair missing its uniform reference runs (a partial
+            // campaign) is skipped, so one torn pair cannot keep the
+            // daemon from serving the rest.
+            auto samples = dataset.sampleSetResult(platform, workload);
+            if (!samples.ok()) {
                 metrics().add("serve/pairs_skipped");
                 mosaic_warn("serve: skipping partial pair ", platform,
-                            "/", workload,
-                            " (missing uniform reference runs)");
+                            "/", workload, " (",
+                            samples.error().message(), ")");
                 continue;
             }
             auto entry = std::make_unique<PairEntry>();
-            entry->samples = dataset.sampleSet(platform, workload);
+            entry->samples = std::move(samples).okOrThrow();
             {
                 std::lock_guard<std::mutex> lock(pairsMutex_);
                 pairs_[{platform, workload}] = std::move(entry);
@@ -248,78 +171,6 @@ ModelRegistry::predictWarm(PairEntry &pair, const PredictQuery &query,
     return prediction;
 }
 
-Result<std::shared_ptr<const trace::MemoryTrace>>
-ModelRegistry::obtainTrace(const workloads::Workload &workload,
-                           const SimContext &context)
-{
-    const std::string label = workload.info().label();
-    {
-        std::lock_guard<std::mutex> lock(tracesMutex_);
-        auto it = traces_.find(label);
-        if (it != traces_.end()) {
-            context.metrics().add("serve/trace_cache_hits");
-            return it->second;
-        }
-    }
-    context.metrics().add("serve/trace_cache_misses");
-
-    std::string cache_path;
-    if (!options_.traceCacheDir.empty()) {
-        if (auto made = ensureDirectory(options_.traceCacheDir);
-            made.ok()) {
-            cache_path = options_.traceCacheDir + "/" +
-                         exp::traceCacheStem(label) +
-                         trace::traceStoreExtension;
-        }
-    }
-
-    trace::MemoryTrace loaded;
-    bool have_trace = false;
-    if (!cache_path.empty()) {
-        std::ifstream probe(cache_path);
-        if (probe.good()) {
-            probe.close();
-            auto from_store =
-                trace::loadStoredTrace(cache_path, context);
-            if (from_store.ok()) {
-                context.metrics().add("serve/trace_store_hits");
-                loaded = std::move(from_store).okOrThrow();
-                have_trace = true;
-            } else {
-                mosaic_warn("serve: trace store for ", label,
-                            " unusable (", from_store.error().str(),
-                            "); regenerating");
-            }
-        }
-    }
-    if (!have_trace) {
-        try {
-            ScopedTimer timer(context.metrics(),
-                              "serve/trace_generate");
-            loaded = workload.generateTrace();
-        } catch (const std::exception &e) {
-            return Error(ErrorCategory::Internal,
-                         std::string("trace generation failed: ") +
-                             e.what())
-                .withContext("workload " + label);
-        }
-        if (!cache_path.empty()) {
-            auto saved = trace::TraceStore::save(loaded, cache_path,
-                                                 context);
-            if (!saved.ok()) {
-                mosaic_warn("serve: cannot cache trace for ", label,
-                            ": ", saved.error().str());
-            }
-        }
-    }
-
-    auto shared = std::make_shared<const trace::MemoryTrace>(
-        std::move(loaded));
-    std::lock_guard<std::mutex> lock(tracesMutex_);
-    auto [it, inserted] = traces_.emplace(label, std::move(shared));
-    return it->second;
-}
-
 Result<void>
 ModelRegistry::simulateCold(const Key &key, const SimContext &context)
 {
@@ -327,111 +178,58 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
     ScopedTimer cold_timer(registry, "serve/cold_sim");
     registry.add("serve/cold_simulations");
 
-    auto platform = findPlatform(key.first);
+    auto platform = cpu::findPlatform(key.first);
     if (!platform.ok())
         return platform.error();
 
-    std::unique_ptr<workloads::Workload> workload;
-    try {
-        workload = options_.workloadFactory(key.second);
-    } catch (const std::exception &e) {
-        return configError(std::string("unknown workload '") +
-                           key.second + "': " + e.what());
-    }
-    if (!workload)
-        return configError("unknown workload '" + key.second + "'");
+    // A one-pair campaign at jobs 1: the same trace store (with
+    // quarantine and retries), layouts and replay as mosaic_campaign,
+    // in full or, with --cold-sampled, over one shared sample plan.
+    // The query's cooperative deadline rides in on the context, so a
+    // timed-out query abandons the fill within one chunk.
+    exp::CampaignConfig config;
+    config.workloads = {key.second};
+    config.platforms = {platform.value()};
+    config.jobs = 1;
+    config.verbose = false;
+    config.include1g = options_.include1g;
+    config.seed = options_.seed;
+    config.traceCacheDir = options_.traceCacheDir;
+    config.sampling = options_.coldSampling;
+    config.workloadFactory = options_.workloadFactory;
+    if (config.sampling.enabled())
+        registry.add("serve/cold_sampled");
+    exp::CampaignReport report =
+        exp::CampaignRunner(std::move(config), context).runReport();
 
-    auto traceResult = obtainTrace(*workload, context);
-    if (!traceResult.ok())
-        return traceResult.error();
-    const trace::MemoryTrace &trace = *traceResult.value();
-
-    std::vector<layouts::NamedLayout> layouts;
-    try {
-        trace::MissProfile profile(trace,
-                                   workload->primaryPoolBase(),
-                                   workload->primaryPoolSize());
-        layouts = layouts::paperCampaignLayouts(
-            workload->primaryPoolSize(), profile, options_.seed);
-        if (options_.include1g) {
-            layouts.push_back(layouts::uniformLayout(
-                workload->primaryPoolSize(),
-                alloc::PageSize::Page1G));
+    // A timeout fails the fill once, however many cells it cut short.
+    for (const auto &failure : report.failures) {
+        if (failure.error.category() == ErrorCategory::Timeout) {
+            registry.add("serve/cold_timeouts");
+            return failure.error.withContext("cold simulation of " +
+                                             key.first + "/" +
+                                             key.second);
         }
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Internal,
-                     std::string("layout construction failed: ") +
-                         e.what());
     }
-
-    // Replay the campaign grid layout by layout: in full, or with
-    // --cold-sampled, interval-sampled over one shared plan. The
-    // query's cooperative deadline rides in on the context and is
-    // checked inside the replay chunk loop, so a timed-out query
-    // abandons the fill within one chunk. A layout that fails is left
-    // out of the surface; a failing uniform reference, which every
-    // model needs, fails the whole fill.
-    std::vector<exp::RunRecord> records;
-    records.reserve(layouts.size());
-    try {
-        std::optional<sampling::SamplePlan> plan;
-        if (options_.coldSampling.enabled()) {
-            registry.add("serve/cold_sampled");
-            ScopedTimer plan_timer(registry, "serve/cold_sample_plan");
-            plan = sampling::buildSamplePlan(trace,
-                                             options_.coldSampling);
+    // A failed layout is left out of the surface; a failing uniform
+    // reference, which every model needs, fails the whole fill.
+    for (const auto &failure : report.failures) {
+        if (failure.layout == "*")
+            return failure.error;
+        if (failure.layout == exp::layoutAll4k ||
+            failure.layout == exp::layoutAll2m) {
+            return Error(ErrorCategory::Internal,
+                         "cold lane failed: " + failure.error.message())
+                .withContext("cold-simulating required reference " +
+                             failure.layout);
         }
-        for (const auto &named : layouts) {
-            exp::RunRecord record;
-            record.platform = key.first;
-            record.workload = key.second;
-            record.layout = named.name;
-            try {
-                const alloc::MosallocConfig config =
-                    workload->makeAllocConfig(named.layout);
-                if (plan) {
-                    sampling::SampledEstimate estimate =
-                        sampling::simulateSampled(platform.value(),
-                                                  config, trace, *plan,
-                                                  /*os=*/{}, context);
-                    record.result = estimate.estimate;
-                    record.estErr = estimate.estErr;
-                } else {
-                    record.result = cpu::simulateRun(
-                        platform.value(), config, trace, context);
-                }
-            } catch (const TimeoutError &) {
-                throw; // outer handler owns timeout accounting
-            } catch (const std::exception &e) {
-                if (named.name == exp::layoutAll4k ||
-                    named.name == exp::layoutAll2m) {
-                    return Error(ErrorCategory::Internal,
-                                 std::string("cold lane failed: ") +
-                                     e.what())
-                        .withContext(
-                            "cold-simulating required reference " +
-                            named.name);
-                }
-                registry.add("serve/cold_lane_failures");
-                continue;
-            }
-            records.push_back(std::move(record));
-        }
-    } catch (const TimeoutError &e) {
-        registry.add("serve/cold_timeouts");
-        return timeoutError(std::string(e.what()))
-            .withContext("cold simulation of " + key.first + "/" +
-                         key.second);
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Internal,
-                     std::string("cold simulation failed: ") +
-                         e.what());
     }
+    if (!report.failures.empty())
+        registry.add("serve/cold_lane_failures", report.failures.size());
 
-    auto samples = assembleSampleSet(records, key.first, key.second);
+    auto samples = report.dataset.sampleSetResult(key.first, key.second);
     if (!samples.ok())
         return samples.error();
-
     auto entry = std::make_unique<PairEntry>();
     entry->samples = std::move(samples).okOrThrow();
     {

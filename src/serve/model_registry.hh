@@ -1,18 +1,20 @@
 /**
  * @file
  * The daemon's resident prediction state: fitted Mosmodel surfaces per
- * (platform, workload) pair, decoded traces, and the cold-path fallback
- * that simulates an unknown pair on demand and caches it.
+ * (platform, workload) pair, and the cold-path fallback that simulates
+ * an unknown pair on demand and caches its surface.
  *
  * Warm path: the pair's SampleSet is resident (loaded from a campaign
  * CSV at startup or produced by an earlier cold simulation); the
  * requested model is fitted lazily once per (pair, model) and predicts
- * in microseconds. Cold path: the full campaign layout grid is replayed
- * one layout after another on the querying worker, bounded by the
- * query's cooperative SimContext deadline; concurrent cold
- * queries for the same pair deduplicate into one simulation
- * (single-flight), with followers waiting — also deadline-bounded — for
- * the leader's result.
+ * in microseconds. Cold path: a one-pair exp::CampaignRunner run at
+ * jobs 1 for the querying worker — the campaign's trace store (with
+ * quarantine and retries), layouts and replay — bounded by the query's
+ * cooperative SimContext deadline; concurrent cold queries for the
+ * same pair deduplicate into one simulation (single-flight), with
+ * followers waiting — also deadline-bounded — for the leader's result.
+ * No trace stays resident after a fill; --trace-cache is what skips
+ * regeneration.
  *
  * With Options::coldSampling enabled (--cold-sampled), the cold path
  * trades the full replay for interval-sampled replay: one sample
@@ -38,7 +40,6 @@
 #include "serve/protocol.hh"
 #include "support/error.hh"
 #include "support/sim_context.hh"
-#include "trace/trace.hh"
 #include "workloads/workload.hh"
 
 namespace mosaic::serve
@@ -89,7 +90,8 @@ class ModelRegistry
          */
         sampling::SamplingConfig coldSampling;
 
-        /** Workload construction seam (tests); default: registry. */
+        /** Workload construction seam (tests); unset uses the
+         *  benchmark registry (workloads::makeWorkload). */
         std::function<std::unique_ptr<workloads::Workload>(
             const std::string &)>
             workloadFactory;
@@ -154,18 +156,11 @@ class ModelRegistry
                                    const SimContext &context) const;
     Result<void> simulateCold(const Key &key,
                               const SimContext &context);
-    Result<std::shared_ptr<const trace::MemoryTrace>>
-    obtainTrace(const workloads::Workload &workload,
-                const SimContext &context);
 
     Options options_;
 
     mutable std::mutex pairsMutex_;
     std::map<Key, std::unique_ptr<PairEntry>> pairs_;
-
-    std::mutex tracesMutex_;
-    std::map<std::string, std::shared_ptr<const trace::MemoryTrace>>
-        traces_;
 
     std::mutex coldMutex_;
     std::map<Key, std::shared_ptr<ColdFlight>> inflight_;

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <memory>
 
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
-#include "support/random.hh"
+#include "support/fault_injector.hh"
+#include "support/sim_context.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
@@ -17,47 +21,23 @@ using namespace mosaic::exp;
 namespace
 {
 
-/** A minimal TLB-sensitive workload: random reads over a small pool. */
-class TinyWorkload : public workloads::Workload
+/** TinyWorkload on @p platforms, as one campaign that must not fail
+ *  a cell. */
+Dataset
+runTiny(std::vector<cpu::PlatformSpec> platforms,
+        CampaignConfig config = test::tinyCampaign())
 {
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
-
-CampaignConfig
-quietConfig()
-{
-    CampaignConfig config;
-    config.verbose = false;
-    return config;
+    config.platforms = std::move(platforms);
+    CampaignReport report = CampaignRunner(config).runReport();
+    EXPECT_TRUE(report.allOk()) << report.summary();
+    return std::move(report.dataset);
 }
 
 } // namespace
 
 TEST(Campaign, RunPairProduces55Layouts)
 {
-    TinyWorkload workload;
-    Dataset dataset;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), quietConfig(),
-                            dataset);
+    Dataset dataset = runTiny({cpu::sandyBridge()});
     const auto &runs = dataset.runs("SandyBridge", "test/tiny");
     EXPECT_EQ(runs.size(), 55u); // 54 mosaics + all-1GB
 
@@ -72,21 +52,16 @@ TEST(Campaign, RunPairProduces55Layouts)
 
 TEST(Campaign, Without1gRuns54Layouts)
 {
-    TinyWorkload workload;
-    CampaignConfig config = quietConfig();
+    CampaignConfig config = test::tinyCampaign();
     config.include1g = false;
-    Dataset dataset;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), config,
-                            dataset);
+    Dataset dataset = runTiny({cpu::sandyBridge()}, config);
     EXPECT_EQ(dataset.runs("SandyBridge", "test/tiny").size(), 54u);
 }
 
 TEST(Campaign, RunPairIsDeterministic)
 {
-    TinyWorkload workload;
-    Dataset a, b;
-    CampaignRunner::runPair(workload, cpu::haswell(), quietConfig(), a);
-    CampaignRunner::runPair(workload, cpu::haswell(), quietConfig(), b);
+    Dataset a = runTiny({cpu::haswell()});
+    Dataset b = runTiny({cpu::haswell()});
     const auto &runs_a = a.runs("Haswell", "test/tiny");
     const auto &runs_b = b.runs("Haswell", "test/tiny");
     ASSERT_EQ(runs_a.size(), runs_b.size());
@@ -101,10 +76,7 @@ TEST(Campaign, RunPairIsDeterministic)
 
 TEST(Campaign, CountersOrderedByCoverage)
 {
-    TinyWorkload workload;
-    Dataset dataset;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), quietConfig(),
-                            dataset);
+    Dataset dataset = runTiny({cpu::sandyBridge()});
     auto set = dataset.sampleSet("SandyBridge", "test/tiny");
     // The uniform endpoints bracket every mosaic sample's misses.
     for (const auto &sample : set.samples) {
@@ -135,25 +107,51 @@ TEST(Campaign, TraceCacheStemsNeverCollide)
 
 TEST(Campaign, RunnerThreadsProduceSameDatasetAsSerial)
 {
-    // The multi-threaded runner merges per-pair results; with two
-    // platforms of one workload the merged dataset must equal two
-    // serial runPair calls.
-    TinyWorkload workload;
-    Dataset serial;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), quietConfig(),
-                            serial);
-    CampaignRunner::runPair(workload, cpu::haswell(), quietConfig(),
-                            serial);
+    // Two platforms of one workload over two workers must produce the
+    // rows of two serial one-pair campaigns.
+    Dataset serial = runTiny({cpu::sandyBridge()});
+    Dataset haswell = runTiny({cpu::haswell()});
+    for (const auto &record : haswell.runs("Haswell", "test/tiny"))
+        serial.add(record);
 
-    // The public runner only accepts registry workloads, so emulate
-    // its thread pool by checking both serial datasets agree with a
-    // rerun (determinism across merge order is what matters here).
-    Dataset rerun;
-    CampaignRunner::runPair(workload, cpu::haswell(), quietConfig(),
-                            rerun);
-    const auto &a = serial.runs("Haswell", "test/tiny");
-    const auto &b = rerun.runs("Haswell", "test/tiny");
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].result.runtimeCycles, b[i].result.runtimeCycles);
+    CampaignConfig config = test::tinyCampaign();
+    config.jobs = 2;
+    Dataset parallel =
+        runTiny({cpu::sandyBridge(), cpu::haswell()}, config);
+    EXPECT_EQ(parallel.toCsv(), serial.toCsv());
+}
+
+TEST(Campaign, CallerDeadlineFailsEveryCellWithoutReplaying)
+{
+    // A deadline that passed before the run: every cell is a Timeout
+    // failure, and none of them builds a machine or replays a record.
+    MetricsRegistry shard;
+    SimContext context =
+        SimContext(shard, faults())
+            .withDeadline(std::chrono::steady_clock::now() -
+                          std::chrono::seconds(1));
+    CampaignReport report =
+        CampaignRunner(test::tinyCampaign({cpu::sandyBridge()}), context)
+            .runReport();
+    ASSERT_EQ(report.failures.size(), 55u);
+    for (const auto &failure : report.failures)
+        EXPECT_EQ(failure.error.category(), ErrorCategory::Timeout);
+    EXPECT_EQ(report.cellsCompleted, 0u);
+    EXPECT_EQ(shard.counter("campaign/cells_timed_out"), 55u);
+    EXPECT_EQ(shard.phase("campaign/cell").count, 0u);
+    EXPECT_EQ(shard.counter("replay/records"), 0u);
+}
+
+TEST(Campaign, NullWorkloadFactoryIsAConfigFailure)
+{
+    CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
+    config.workloads = {"test/none"};
+    config.workloadFactory = [](const std::string &) {
+        return std::unique_ptr<workloads::Workload>();
+    };
+    CampaignReport report = CampaignRunner(config).runReport();
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].layout, "*");
+    EXPECT_EQ(report.failures[0].error.category(), ErrorCategory::Config);
+    EXPECT_EQ(report.dataset.totalRuns(), 0u);
 }

@@ -9,16 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
-#include <stdexcept>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
 #include "support/fault_injector.hh"
 #include "support/io_util.hh"
-#include "support/random.hh"
 #include "trace/trace_store.hh"
 
 using namespace mosaic;
@@ -26,31 +24,6 @@ using namespace mosaic::exp;
 
 namespace
 {
-
-/** A minimal TLB-sensitive workload (mirrors test_campaign.cc). */
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
 
 /** Quiet config with instant retries and a scratch trace-cache dir. */
 CampaignConfig
@@ -63,6 +36,16 @@ faultConfig(const std::string &trace_dir = std::string())
     if (!trace_dir.empty())
         mkdir(trace_dir.c_str(), 0755);
     return config;
+}
+
+/** One-pair campaign over TinyWorkload on SandyBridge. */
+CampaignReport
+runTinyPair(CampaignConfig config)
+{
+    config.workloads = {"test/tiny"};
+    config.platforms = {cpu::sandyBridge()};
+    config.workloadFactory = test::tinyFactory;
+    return CampaignRunner(config).runReport();
 }
 
 class CampaignFaultTest : public ::testing::Test
@@ -89,34 +72,31 @@ TEST_F(CampaignFaultTest, CorruptTraceCacheIsRegenerated)
     std::string dir = scratch_.file("trace_cache");
     std::string cache = tinyCachePath(dir);
     CampaignConfig config = faultConfig(dir);
-    TinyWorkload workload;
 
     // First pair run populates the cache — with the write corrupted.
     faults().arm(FaultSite::StoreCorrupt, 1);
-    Dataset first;
-    auto failures = CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                            config, first);
+    CampaignReport first = runTinyPair(config);
     faults().reset();
-    EXPECT_TRUE(failures.empty());
+    EXPECT_TRUE(first.allOk()) << first.summary();
     ASSERT_TRUE(trace::isTraceStoreFile(cache));
     EXPECT_FALSE(trace::TraceStore::open(cache).ok()); // damage landed
 
     // Second run must detect the damage (CRC), quarantine the file,
     // regenerate, and still complete every cell.
-    Dataset second;
-    failures = CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                       config, second);
-    EXPECT_TRUE(failures.empty());
-    EXPECT_EQ(second.runs("SandyBridge", "test/tiny").size(), 55u);
+    CampaignReport second = runTinyPair(config);
+    EXPECT_TRUE(second.allOk()) << second.summary();
+    EXPECT_EQ(second.dataset.runs("SandyBridge", "test/tiny").size(),
+              55u);
 
     // The damaged file was preserved as evidence, the repaired cache
     // is valid again, and the two datasets agree (the trace is
     // deterministic either way).
     EXPECT_TRUE(trace::isTraceStoreFile(cache + ".corrupt"));
     EXPECT_TRUE(trace::TraceStore::open(cache).ok());
-    EXPECT_EQ(first.findRun("SandyBridge", "test/tiny", layoutAll2m)
+    EXPECT_EQ(first.dataset.findRun("SandyBridge", "test/tiny", layoutAll2m)
                   .result.runtimeCycles,
-              second.findRun("SandyBridge", "test/tiny", layoutAll2m)
+              second.dataset
+                  .findRun("SandyBridge", "test/tiny", layoutAll2m)
                   .result.runtimeCycles);
 }
 
@@ -125,24 +105,20 @@ TEST_F(CampaignFaultTest, TransientOpenFailureIsRetried)
     std::string dir = scratch_.file("retry_cache");
     std::string cache = tinyCachePath(dir);
     CampaignConfig config = faultConfig(dir);
-    TinyWorkload workload;
 
     // Populate a valid cache.
-    Dataset warmup;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), config, warmup);
+    ASSERT_TRUE(runTinyPair(config).allOk());
     ASSERT_TRUE(trace::TraceStore::open(cache).ok());
 
     // Fail the 1st cache open; the backoff retry must recover.
     faults().arm(FaultSite::StoreOpen, 1);
-    Dataset dataset;
-    std::size_t retries = 0;
-    auto failures = CampaignRunner::runPair(
-        workload, cpu::sandyBridge(), config, dataset, nullptr, &retries);
+    CampaignReport report = runTinyPair(config);
     faults().reset();
 
-    EXPECT_TRUE(failures.empty());
-    EXPECT_GE(retries, 1u);
-    EXPECT_EQ(dataset.runs("SandyBridge", "test/tiny").size(), 55u);
+    EXPECT_TRUE(report.allOk()) << report.summary();
+    EXPECT_GE(report.retriesPerformed, 1u);
+    EXPECT_EQ(report.dataset.runs("SandyBridge", "test/tiny").size(),
+              55u);
 }
 
 TEST_F(CampaignFaultTest, ExhaustedRetriesFailThePairNotTheCampaign)
@@ -151,10 +127,8 @@ TEST_F(CampaignFaultTest, ExhaustedRetriesFailThePairNotTheCampaign)
     std::string cache = tinyCachePath(dir);
     CampaignConfig config = faultConfig(dir);
     config.retry.maxAttempts = 2;
-    TinyWorkload workload;
 
-    Dataset warmup;
-    CampaignRunner::runPair(workload, cpu::sandyBridge(), config, warmup);
+    ASSERT_TRUE(runTinyPair(config).allOk());
     ASSERT_TRUE(trace::isTraceStoreFile(cache));
 
     // Every open fails: the cache load gives up after its retries, but
@@ -162,13 +136,12 @@ TEST_F(CampaignFaultTest, ExhaustedRetriesFailThePairNotTheCampaign)
     // cache is an optimization, never a single point of failure. The
     // re-save also fails (same site), which only costs the cache.
     faults().arm(FaultSite::StoreOpen, 0);
-    Dataset dataset;
-    auto failures = CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                            config, dataset);
+    CampaignReport report = runTinyPair(config);
     faults().reset();
 
-    EXPECT_TRUE(failures.empty());
-    EXPECT_EQ(dataset.runs("SandyBridge", "test/tiny").size(), 55u);
+    EXPECT_TRUE(report.allOk()) << report.summary();
+    EXPECT_EQ(report.dataset.runs("SandyBridge", "test/tiny").size(),
+              55u);
 }
 
 TEST_F(CampaignFaultTest, SimLaneFaultFailsOneCellOthersMatchCleanRun)
@@ -176,12 +149,7 @@ TEST_F(CampaignFaultTest, SimLaneFaultFailsOneCellOthersMatchCleanRun)
     CampaignConfig config = faultConfig();
     config.workloads = {"test/tiny"};
     config.platforms = {cpu::sandyBridge()};
-    config.workloadFactory = [](const std::string &label)
-        -> std::unique_ptr<workloads::Workload> {
-        if (label == "test/tiny")
-            return std::make_unique<TinyWorkload>();
-        throw std::runtime_error("unknown test workload: " + label);
-    };
+    config.workloadFactory = test::tinyFactory;
     config.jobs = 2;
     CampaignReport clean = CampaignRunner(config).runReport();
     ASSERT_TRUE(clean.allOk()) << clean.summary();

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
 #include "support/random.hh"
 
@@ -20,31 +21,6 @@ using namespace mosaic::exp;
 
 namespace
 {
-
-/** A minimal TLB-sensitive workload (mirrors test_campaign.cc). */
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
 
 /** A second tiny workload used as the interference co-tenant. */
 class NoisyWorkload : public workloads::Workload
@@ -75,17 +51,12 @@ class NoisyWorkload : public workloads::Workload
 CampaignConfig
 pagingConfig()
 {
-    CampaignConfig config;
-    config.verbose = false;
-    config.workloads = {"test/tiny"};
-    config.platforms = {cpu::sandyBridge()};
+    CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
     config.workloadFactory =
         [](const std::string &label) -> std::unique_ptr<workloads::Workload> {
-        if (label == "test/tiny")
-            return std::make_unique<TinyWorkload>();
         if (label == "test/noisy")
             return std::make_unique<NoisyWorkload>();
-        throw std::runtime_error("unknown test workload " + label);
+        return test::tinyFactory(label);
     };
     return config;
 }

@@ -10,59 +10,16 @@
 
 #include <fstream>
 #include <iterator>
-#include <memory>
-#include <stdexcept>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
-#include "support/random.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
 
 namespace
 {
-
-/** Same tiny TLB-sensitive workload the serial campaign tests use. */
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
-
-/** Full paper-platform grid over the injected tiny workload. */
-CampaignConfig
-parallelConfig()
-{
-    CampaignConfig config;
-    config.verbose = false;
-    config.workloads = {"test/tiny"};
-    config.workloadFactory =
-        [](const std::string &label) -> std::unique_ptr<workloads::Workload> {
-        if (label == "test/tiny")
-            return std::make_unique<TinyWorkload>();
-        throw std::runtime_error("unknown test workload: " + label);
-    };
-    return config;
-}
 
 std::string
 slurp(const std::string &path)
@@ -82,7 +39,7 @@ class CampaignParallelTest : public ::testing::Test
 
 TEST_F(CampaignParallelTest, EffectiveJobsRespectsConfigAndFallsBack)
 {
-    CampaignConfig config = parallelConfig();
+    CampaignConfig config = test::tinyCampaign();
     config.jobs = 3;
     EXPECT_EQ(CampaignRunner(config).effectiveJobs(), 3u);
     config.jobs = 0;
@@ -94,7 +51,7 @@ TEST_F(CampaignParallelTest, DatasetIsByteIdenticalForAnyJobCount)
     // The issue's determinism stress drill: the identical grid at
     // --jobs 1 and --jobs 8 must yield byte-identical CSVs — same
     // rows, same order, same golden counters in every column.
-    CampaignConfig serial_config = parallelConfig();
+    CampaignConfig serial_config = test::tinyCampaign();
     serial_config.jobs = 1;
     std::string serial_csv = scratch_.file("jobs1.csv");
     CampaignReport serial =
@@ -102,7 +59,7 @@ TEST_F(CampaignParallelTest, DatasetIsByteIdenticalForAnyJobCount)
     ASSERT_TRUE(serial.allOk()) << serial.summary();
     EXPECT_EQ(serial.cellsCompleted, 3u * 55u); // 3 platforms x 55
 
-    CampaignConfig wide_config = parallelConfig();
+    CampaignConfig wide_config = test::tinyCampaign();
     wide_config.jobs = 8;
     std::string wide_csv = scratch_.file("jobs8.csv");
     CampaignReport wide =
@@ -138,7 +95,7 @@ TEST_F(CampaignParallelTest, PerWorkerPhaseBreakdownCoversAllCells)
                                          std::to_string(worker));
     }
 
-    CampaignConfig config = parallelConfig();
+    CampaignConfig config = test::tinyCampaign();
     config.jobs = 4;
     CampaignReport report = CampaignRunner(config).runReport();
     ASSERT_TRUE(report.allOk()) << report.summary();
@@ -158,7 +115,7 @@ TEST_F(CampaignParallelTest, PerWorkerPhaseBreakdownCoversAllCells)
 TEST_F(CampaignParallelTest, KilledRunResumesUnderParallelScheduler)
 {
     // Reference run: the full grid in one go.
-    CampaignConfig config = parallelConfig();
+    CampaignConfig config = test::tinyCampaign();
     config.jobs = 4;
     std::string full_csv = scratch_.file("full.csv");
     CampaignReport full = CampaignRunner(config).runReport(full_csv);

@@ -10,16 +10,14 @@
 
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <set>
-#include <stdexcept>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
 #include "experiments/shard.hh"
 #include "support/fault_injector.hh"
 #include "support/io_util.hh"
-#include "support/random.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
@@ -27,45 +25,12 @@ using namespace mosaic::exp;
 namespace
 {
 
-/** Same tiny TLB-sensitive workload the other campaign tests use. */
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
-
 /** Full paper-platform grid over the injected tiny workload. */
 CampaignConfig
 shardTestConfig()
 {
-    CampaignConfig config;
-    config.verbose = false;
+    CampaignConfig config = test::tinyCampaign();
     config.retry.initialDelay = std::chrono::milliseconds(0);
-    config.workloads = {"test/tiny"};
-    config.workloadFactory =
-        [](const std::string &label) -> std::unique_ptr<workloads::Workload> {
-        if (label == "test/tiny")
-            return std::make_unique<TinyWorkload>();
-        throw std::runtime_error("unknown test workload: " + label);
-    };
     return config;
 }
 

@@ -102,6 +102,26 @@ TEST(Dataset, MissingReferencesPanics)
     EXPECT_THROW(dataset.sampleSet("P", "w/x"), std::logic_error);
 }
 
+TEST(Dataset, SampleSetResultReportsMissingReferences)
+{
+    Dataset dataset;
+    dataset.add(makeRecord("P", "w/x", "rand-0", 100, 10));
+    auto partial = dataset.sampleSetResult("P", "w/x");
+    ASSERT_FALSE(partial.ok());
+    EXPECT_EQ(partial.error().category(), ErrorCategory::Config);
+    auto absent = dataset.sampleSetResult("P", "w/y");
+    ASSERT_FALSE(absent.ok());
+    EXPECT_EQ(absent.error().category(), ErrorCategory::Config);
+
+    // All-2MB stands in for a missing all-1GB run.
+    dataset.add(makeRecord("P", "w/x", layoutAll4k, 300, 50));
+    dataset.add(makeRecord("P", "w/x", layoutAll2m, 150, 5));
+    auto set = dataset.sampleSetResult("P", "w/x");
+    ASSERT_TRUE(set.ok()) << set.error().str();
+    EXPECT_EQ(set.value().samples.size(), 3u);
+    EXPECT_DOUBLE_EQ(set.value().all1g.r, 150.0);
+}
+
 TEST(Dataset, CsvRoundTrip)
 {
     Dataset dataset = makeToyDataset();

@@ -28,18 +28,18 @@ const exp::Dataset &
 sharedDataset()
 {
     static const exp::Dataset dataset = [] {
-        workloads::GupsParams params;
-        params.tableBytes = 64_MiB;
-        params.updates = 60000;
-        params.sizeName = "8GB";
-        workloads::GupsWorkload workload(params);
-
         exp::CampaignConfig config;
         config.verbose = false;
-        exp::Dataset data;
-        exp::CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                     config, data);
-        return data;
+        config.workloads = {"gups/8GB"};
+        config.platforms = {cpu::sandyBridge()};
+        config.workloadFactory = [](const std::string &) {
+            workloads::GupsParams params;
+            params.tableBytes = 64_MiB;
+            params.updates = 60000;
+            params.sizeName = "8GB";
+            return std::make_unique<workloads::GupsWorkload>(params);
+        };
+        return exp::CampaignRunner(config).runReport().dataset;
     }();
     return dataset;
 }

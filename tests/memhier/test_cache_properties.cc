@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "memhier/cache.hh"
 #include "support/random.hh"
 
@@ -20,6 +22,22 @@ struct Geometry
     Bytes capacity;
     unsigned ways;
 };
+
+/**
+ * Print a geometry as "<capacity>_<ways>way". GoogleTest's fallback
+ * dumps the raw bytes, uninitialised padding included, and
+ * gtest_discover_tests names each case after that dump — so the test
+ * names changed from build to build.
+ */
+void
+PrintTo(const Geometry &geometry, std::ostream *os)
+{
+    if (geometry.capacity % 1_MiB == 0)
+        *os << geometry.capacity / 1_MiB << "MiB";
+    else
+        *os << geometry.capacity / 1_KiB << "KiB";
+    *os << "_" << geometry.ways << "way";
+}
 
 } // namespace
 

@@ -4,7 +4,7 @@
  * campaign dataset, structured rejection of unknown names, and the
  * cold path — on-demand simulation, the interval-sampled cold
  * variant, per-layout failure isolation, single-flight dedup, deadline
- * timeouts, and trace-store reuse.
+ * timeouts, and trace-store reuse and quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -12,15 +12,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
 #include "serve/model_registry.hh"
 #include "support/fault_injector.hh"
-#include "support/random.hh"
 #include "support/sim_context.hh"
+#include "trace/trace_store.hh"
 
 using namespace mosaic;
 using namespace mosaic::serve;
@@ -28,43 +30,14 @@ using namespace mosaic::serve;
 namespace
 {
 
-/** Same tiny TLB-sensitive workload the campaign tests use. */
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
-
 /** Campaign dataset over TinyWorkload, built once per test binary. */
 const exp::Dataset &
 sharedDataset()
 {
     static const exp::Dataset dataset = [] {
-        exp::Dataset built;
-        exp::CampaignConfig config;
-        config.verbose = false;
-        TinyWorkload workload;
-        exp::CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                     config, built);
-        return built;
+        return exp::CampaignRunner(test::tinyCampaign({cpu::sandyBridge()}))
+            .runReport()
+            .dataset;
     }();
     return dataset;
 }
@@ -73,12 +46,7 @@ ModelRegistry::Options
 coldOptions()
 {
     ModelRegistry::Options options;
-    options.workloadFactory = [](const std::string &label)
-        -> std::unique_ptr<workloads::Workload> {
-        if (label != "test/tiny")
-            throw std::runtime_error("no workload " + label);
-        return std::make_unique<TinyWorkload>();
-    };
+    options.workloadFactory = test::tinyFactory;
     return options;
 }
 
@@ -366,11 +334,58 @@ TEST(ServeRegistry, TraceCacheDirIsReusedAcrossRegistries)
     options.traceCacheDir = scratch.path();
     ModelRegistry first(std::move(options));
     ASSERT_TRUE(first.predict(tinyQuery(), context).ok());
-    EXPECT_EQ(shard.counter("serve/trace_store_hits"), 0u);
+    EXPECT_EQ(shard.counter("trace_store/hits"), 0u);
 
     ModelRegistry::Options reuse = coldOptions();
     reuse.traceCacheDir = scratch.path();
     ModelRegistry second(std::move(reuse));
     ASSERT_TRUE(second.predict(tinyQuery(), context).ok());
-    EXPECT_EQ(shard.counter("serve/trace_store_hits"), 1u);
+    EXPECT_EQ(shard.counter("trace_store/hits"), 1u);
+}
+
+TEST(ServeRegistry, CorruptTraceStoreIsQuarantinedAndRegenerated)
+{
+    test::ScratchDir scratch("serve_corrupt_store");
+    const std::string store = scratch.path() + "/" +
+                              exp::traceCacheStem("test/tiny") +
+                              trace::traceStoreExtension;
+    {
+        ModelRegistry::Options options = coldOptions();
+        options.traceCacheDir = scratch.path();
+        ModelRegistry first(std::move(options));
+        MetricsRegistry shard;
+        ASSERT_TRUE(first.predict(tinyQuery(), SimContext(shard, faults()))
+                        .ok());
+    }
+
+    // Flip one byte of the first column, past the 64-byte superblock:
+    // the store still opens as a file but fails its column CRC.
+    {
+        std::fstream file(store,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(file.good()) << store;
+        file.seekg(100);
+        char byte = 0;
+        file.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x20);
+        file.seekp(100);
+        file.write(&byte, 1);
+    }
+
+    // The cold fill quarantines the damaged store, regenerates the
+    // trace, and answers with the campaign's runtime.
+    ModelRegistry::Options options = coldOptions();
+    options.traceCacheDir = scratch.path();
+    ModelRegistry second(std::move(options));
+    MetricsRegistry shard;
+    auto prediction =
+        second.predict(tinyQuery(), SimContext(shard, faults()));
+    ASSERT_TRUE(prediction.ok()) << prediction.error().str();
+    EXPECT_TRUE(prediction.value().cold);
+    const auto &row =
+        sharedDataset().findRun("SandyBridge", "test/tiny", "grow-3");
+    EXPECT_DOUBLE_EQ(prediction.value().measuredCycles,
+                     static_cast<double>(row.result.runtimeCycles));
+    EXPECT_TRUE(std::ifstream(store + ".corrupt").good());
+    EXPECT_EQ(shard.counter("trace_store/quarantined"), 1u);
 }

@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "common/scratch_dir.hh"
+#include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
 #include "serve/server.hh"
-#include "support/random.hh"
 
 using namespace mosaic;
 using namespace mosaic::serve;
@@ -31,41 +31,15 @@ using namespace mosaic::serve;
 namespace
 {
 
-class TinyWorkload : public workloads::Workload
-{
-  public:
-    workloads::WorkloadInfo
-    info() const override
-    {
-        return {"test", "tiny"};
-    }
-
-    Bytes heapPoolSize() const override { return 24_MiB; }
-
-    trace::MemoryTrace
-    generateTrace() const override
-    {
-        trace::MemoryTrace trace;
-        Rng rng(99);
-        VirtAddr base = alloc::PoolAddresses::heapBase;
-        for (int i = 0; i < 12000; ++i)
-            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
-                      false);
-        return trace;
-    }
-};
-
 /** A warm-only registry over the tiny campaign, built once. */
 ModelRegistry &
 warmRegistry()
 {
     static ModelRegistry *registry = [] {
-        exp::Dataset dataset;
-        exp::CampaignConfig config;
-        config.verbose = false;
-        TinyWorkload workload;
-        exp::CampaignRunner::runPair(workload, cpu::sandyBridge(),
-                                     config, dataset);
+        exp::Dataset dataset =
+            exp::CampaignRunner(test::tinyCampaign({cpu::sandyBridge()}))
+                .runReport()
+                .dataset;
         static test::ScratchDir scratch("serve_server_data");
         const std::string csv = scratch.path() + "/campaign.csv";
         dataset.save(csv);
@@ -380,10 +354,7 @@ TEST(ServeServer, QueryTimeoutSurfacesAsTimeoutError)
     // A registry that allows cold simulation but with an impossible
     // deadline: the PREDICT must come back "err timeout", not hang.
     ModelRegistry::Options regOptions;
-    regOptions.workloadFactory = [](const std::string &)
-        -> std::unique_ptr<workloads::Workload> {
-        return std::make_unique<TinyWorkload>();
-    };
+    regOptions.workloadFactory = test::tinyFactory;
     ModelRegistry registry(std::move(regOptions));
 
     ServerOptions options;

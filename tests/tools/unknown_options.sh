@@ -1,28 +1,37 @@
 #!/bin/sh
-# Every command-line tool refuses an option it does not read: it exits
-# 2 and prints one line naming the option, before doing any work.
+# Every command-line tool refuses an option it does not read, an
+# unknown platform name, and a campaign configuration no runner can
+# honor: it exits 2 and prints one line naming the problem, before
+# doing any work.
 #
 # usage: unknown_options.sh TOOL_DIR
 set -u
 tools=$1
 failed=0
 
-# expect_rejected OPTION TOOL ARG...: TOOL ARG... must exit 2 with
-# exactly one stderr line, and that line must name OPTION.
-expect_rejected() {
-    option=$1
+# expect_error TEXT TOOL ARG...: TOOL ARG... must exit 2 with exactly
+# one stderr line, and that line must end with TEXT.
+expect_error() {
+    text=$1
     shift
     err=$("$tools/$@" 2>&1 >/dev/null)
     code=$?
     lines=$(printf '%s\n' "$err" | wc -l)
     case "$err" in
-    *"unknown option $option") named=1 ;;
+    *"$text") named=1 ;;
     *) named=0 ;;
     esac
     if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then
         echo "FAIL: $* -> exit $code, stderr: $err"
         failed=1
     fi
+}
+
+# expect_rejected OPTION TOOL ARG...: the unknown OPTION is named.
+expect_rejected() {
+    option=$1
+    shift
+    expect_error "unknown option $option" "$@"
 }
 
 expect_rejected --jbos mosaic_campaign --workloads gups/8GB \
@@ -38,5 +47,18 @@ expect_rejected --outdri mosaic_export --outdri plots
 # through, instead of serving forever.
 expect_rejected --portt mosaic_serve --dataset missing.csv --portt 0
 expect_rejected --client serve_loadgen --port 1 --client 8
+
+expect_error "unknown platform 'Cray-1'" mosaic_campaign \
+    --workloads gups/8GB --platforms SandyBridge,Cray-1
+expect_error "unknown platform 'Cray-1'" mosaic_run \
+    --workload gups/8GB --platform Cray-1
+expect_error "incompatible with co-workload interference" \
+    mosaic_campaign --workloads gups/8GB --co-workload gups/16GB \
+    --mem-frames 4096 --sample-mode interval
+expect_error "requires a bounded frame pool (--mem-frames > 0)" \
+    mosaic_campaign --workloads gups/8GB --co-workload gups/16GB
+expect_error "co-workload campaigns cannot be sharded" \
+    mosaic_campaign --workloads gups/8GB --co-workload gups/16GB \
+    --mem-frames 4096 --shard 0/2
 
 exit $failed

@@ -112,8 +112,9 @@ campaignMain(int argc, char **argv)
         for (const auto &name :
              splitString(args.get("platforms"), ',')) {
             if (!trimString(name).empty())
-                config.platforms.push_back(
-                    cpu::platformByName(trimString(name)));
+                config.platforms.push_back(cli::unwrapOrDie(
+                    "mosaic_campaign",
+                    cpu::findPlatform(trimString(name))));
         }
     }
     if (args.has("jobs"))
@@ -221,24 +222,7 @@ campaignMain(int argc, char **argv)
                                     args.get("sample-warmup"), 0,
                                     1ull << 32));
     }
-    if (config.sampling.enabled() && !config.coWorkload.empty()) {
-        std::fprintf(stderr,
-                     "mosaic_campaign: --sample-mode interval cannot "
-                     "be combined with --co-workload\n");
-        return 2;
-    }
-    if (!config.coWorkload.empty() && !config.os.paged()) {
-        std::fprintf(stderr,
-                     "mosaic_campaign: --co-workload requires "
-                     "--mem-frames > 0\n");
-        return 2;
-    }
-    if (!config.coWorkload.empty() && config.shardCount > 1) {
-        std::fprintf(stderr,
-                     "mosaic_campaign: --co-workload cannot be "
-                     "combined with --shard\n");
-        return 2;
-    }
+    cli::unwrapOrDie("mosaic_campaign", config.validate());
 
     std::string out = args.get("out", exp::defaultDatasetPath());
     exp::CampaignRunner runner(config);

@@ -139,8 +139,9 @@ runMain(int argc, char **argv)
         !args.has("platform"))
         cli::usage(usageText);
 
+    auto platform = cli::unwrapOrDie(
+        "mosaic_run", cpu::findPlatform(args.get("platform")));
     auto workload = workloads::makeWorkload(args.get("workload"));
-    auto platform = cpu::platformByName(args.get("platform"));
 
     // One spec, or a comma list. "config:" strings embed commas in
     // their region list, so such a value is always a single spec.

@@ -1,12 +1,13 @@
 /**
  * @file
  * mosaic_serve: the prediction-as-a-service daemon. Loads fitted
- * Mosmodel surfaces from a campaign dataset once, keeps them (and any
- * decoded traces) resident, and answers PREDICT queries over a
- * line-oriented protocol on a loopback TCP port or a Unix-domain
- * socket. Warm (platform, workload) pairs answer from the fitted
- * model in microseconds; unknown pairs fall back to an on-demand
- * simulation whose result is cached for every later query.
+ * Mosmodel surfaces from a campaign dataset once, keeps them resident,
+ * and answers PREDICT queries over a line-oriented protocol on a
+ * loopback TCP port or a Unix-domain socket. Warm (platform, workload)
+ * pairs answer from the fitted model in microseconds; unknown pairs
+ * fall back to an on-demand one-pair campaign whose surface is cached
+ * for every later query (its trace is not: --trace-cache keeps it on
+ * disk).
  *
  * SIGTERM/SIGINT drain in-flight queries, fold per-worker metric
  * shards, optionally write the --metrics-out manifest, and exit 0.
