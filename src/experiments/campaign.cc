@@ -174,18 +174,22 @@ buildCampaignLayouts(const workloads::Workload &workload,
 }
 
 /** Construct a workload via the configured factory (tests, serve) or
- *  the benchmark registry (default). Throws when the label is unknown,
- *  including a factory that returns null; callers map the throw to a
- *  Config-category pair failure. */
-std::unique_ptr<workloads::Workload>
+ *  the benchmark registry (default). An unknown label, including a
+ *  factory that throws or returns null, is a Config error. */
+Result<std::unique_ptr<workloads::Workload>>
 makeConfiguredWorkload(const CampaignConfig &config,
                        const std::string &label)
 {
-    auto workload = config.workloadFactory
-                        ? config.workloadFactory(label)
-                        : workloads::makeWorkload(label);
+    if (!config.workloadFactory)
+        return workloads::findWorkload(label);
+    std::unique_ptr<workloads::Workload> workload;
+    try {
+        workload = config.workloadFactory(label);
+    } catch (const std::exception &e) {
+        return configError(e.what());
+    }
     if (!workload)
-        throw std::runtime_error("unknown workload '" + label + "'");
+        return configError("unknown workload '" + label + "'");
     return workload;
 }
 
@@ -204,14 +208,10 @@ prepareCoTenant(const CampaignConfig &config, std::size_t &retries,
                 const SimContext &context)
 {
     CoTenant co;
-    try {
-        co.workload = makeConfiguredWorkload(config, config.coWorkload);
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Config,
-                     std::string("co-workload construction failed: ") +
-                         e.what())
-            .withContext("co-workload " + config.coWorkload);
-    }
+    auto made = makeConfiguredWorkload(config, config.coWorkload);
+    if (!made.ok())
+        return made.error().withContext("co-workload " + config.coWorkload);
+    co.workload = std::move(made.value());
     auto trace_result =
         obtainTrace(*co.workload, config, retries, context);
     if (!trace_result.ok()) {
@@ -649,12 +649,12 @@ struct CampaignRun
     void
     prepareWorkload(WorkloadState &state, const SimContext &ctx)
     {
-        try {
-            state.workload = makeConfiguredWorkload(config, state.label);
-        } catch (const std::exception &e) {
-            state.error = Error(ErrorCategory::Config, e.what());
+        auto made = makeConfiguredWorkload(config, state.label);
+        if (!made.ok()) {
+            state.error = made.error();
             return;
         }
+        state.workload = std::move(made.value());
         auto trace_result =
             obtainTrace(*state.workload, config, state.retries, ctx);
         if (!trace_result.ok()) {

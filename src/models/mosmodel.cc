@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 
 #include "models/fixed_models.hh"
 #include "models/regression_models.hh"
@@ -12,6 +14,19 @@
 
 namespace mosaic::models
 {
+
+namespace
+{
+
+/** @p grid sorted largest first: the order a Lasso path walks. */
+std::vector<double>
+descendingGrid(std::vector<double> grid)
+{
+    std::sort(grid.begin(), grid.end(), std::greater<double>());
+    return grid;
+}
+
+} // namespace
 
 Mosmodel::Mosmodel(const MosmodelConfig &config)
     : config_(config), features_(config.inputs.size(), config.degree)
@@ -93,9 +108,8 @@ Mosmodel::fit(const SampleSet &data)
             inputs(i, j) = rows[i][j];
 
     // Try the configured degree first; degrade toward the linear fit
-    // when the numerics fail (non-finite values, divergence) instead
-    // of publishing silent garbage. A non-converged result is kept
-    // only if no lower degree fully converges.
+    // when the numerics fail (non-finite values, an uncertified Lasso
+    // solve) instead of publishing silent garbage.
     ScopedTimer fit_timer(metrics(), "fit/mosmodel");
     metrics().add("fit/mosmodel_fits");
     std::string first_failure;
@@ -110,21 +124,31 @@ Mosmodel::fit(const SampleSet &data)
             for (std::size_t c = 1; c < expanded.cols(); ++c)
                 design(r, c - 1) = expanded(r, c);
 
-        stats::LassoConfig lasso = config_.lasso;
+        double ratio = config_.lasso.lambdaRatio;
+        cvScore_ = std::numeric_limits<double>::quiet_NaN();
         if (config_.autoLambda && !config_.lambdaGrid.empty() &&
             rows.size() >= 2 * config_.lambdaFolds) {
             try {
                 ScopedTimer sweep_timer(metrics(), "fit/lambda_select");
                 metrics().add("fit/lambda_sweeps",
                               config_.lambdaGrid.size());
-                lasso.lambdaRatio = selectLambda(design, target);
+                ratio = selectLambda(design, target);
             } catch (const std::exception &e) {
                 mosaic_warn("Mosmodel: lambda selection failed (",
                             e.what(), "); using configured ratio");
             }
         }
 
-        auto result = stats::fitLassoChecked(design, target, lasso);
+        // The final fit walks the grid down to the chosen ratio, each
+        // solve warm-starting the next.
+        std::vector<double> path = {ratio};
+        if (!std::isnan(cvScore_)) {
+            path = descendingGrid(config_.lambdaGrid);
+            path.erase(std::upper_bound(path.begin(), path.end(), ratio,
+                                        std::greater<double>()),
+                       path.end());
+        }
+        auto result = stats::fitLassoPath(design, target, path);
         if (!result.ok()) {
             if (first_failure.empty())
                 first_failure = result.error().str();
@@ -141,27 +165,16 @@ Mosmodel::fit(const SampleSet &data)
                      ? std::string()
                      : " (first failure: " + first_failure + ")"));
         }
-        if (!result.value().converged && degree > 1) {
-            mosaic_warn("Mosmodel: degree-", degree,
-                        " fit did not converge; falling back to degree ",
-                        degree - 1);
-            continue;
-        }
-        if (!result.value().converged) {
-            metrics().add("fit/nonconverged_kept");
-            mosaic_warn("Mosmodel: linear fit did not converge; keeping "
-                        "its coefficients");
-        }
         if (degree < config_.degree) {
             metrics().add("fit/degree_fallbacks",
                           config_.degree - degree);
             mosaic_warn("Mosmodel: degraded from degree ",
                         config_.degree, " to degree ", degree);
         }
-        metrics().set("fit/last_lambda_ratio", lasso.lambdaRatio);
+        metrics().set("fit/last_lambda_ratio", ratio);
         metrics().set("fit/last_degree", static_cast<double>(degree));
-        chosenLambdaRatio_ = lasso.lambdaRatio;
-        result_ = std::move(result.value());
+        chosenLambdaRatio_ = ratio;
+        result_ = std::move(result.value().back());
         features_ = std::move(features);
         fittedDegree_ = degree;
         fitted_ = true;
@@ -171,51 +184,55 @@ Mosmodel::fit(const SampleSet &data)
 
 double
 Mosmodel::selectLambda(const stats::Matrix &design,
-                       const stats::Vector &target) const
+                       const stats::Vector &target)
 {
     auto splits = stats::makeKFoldSplits(design.rows(),
                                          config_.lambdaFolds,
                                          config_.lambdaSeed);
+    const std::vector<double> path = descendingGrid(config_.lambdaGrid);
 
-    // Maximal held-out relative error of one lambda across the folds.
-    auto score = [&](double ratio) {
-        stats::LassoConfig lasso = config_.lasso;
-        lasso.lambdaRatio = ratio;
-        double worst = 0.0;
-        for (const auto &split : splits) {
-            stats::Matrix train_x(split.trainIndices.size(),
-                                  design.cols());
-            stats::Vector train_y(split.trainIndices.size());
-            for (std::size_t i = 0; i < split.trainIndices.size(); ++i) {
-                std::size_t index = split.trainIndices[i];
-                for (std::size_t c = 0; c < design.cols(); ++c)
-                    train_x(i, c) = design(index, c);
-                train_y[i] = target[index];
-            }
-            auto result = stats::fitLasso(train_x, train_y, lasso);
+    // Maximal held-out relative error of each path ratio across the
+    // folds, from one Lasso path per fold.
+    std::vector<double> path_scores(path.size(), 0.0);
+    for (const auto &split : splits) {
+        stats::Matrix train_x(split.trainIndices.size(), design.cols());
+        stats::Vector train_y(split.trainIndices.size());
+        for (std::size_t i = 0; i < split.trainIndices.size(); ++i) {
+            std::size_t index = split.trainIndices[i];
+            for (std::size_t c = 0; c < design.cols(); ++c)
+                train_x(i, c) = design(index, c);
+            train_y[i] = target[index];
+        }
+        auto fits =
+            stats::fitLassoPath(train_x, train_y, path).okOrThrow();
+        for (std::size_t k = 0; k < path.size(); ++k) {
             for (std::size_t index : split.testIndices) {
-                double predicted = result.predict(design.row(index));
-                worst = std::max(worst,
-                                 std::fabs(target[index] - predicted) /
-                                     std::fabs(target[index]));
+                double predicted = fits[k].predict(design.row(index));
+                path_scores[k] =
+                    std::max(path_scores[k],
+                             std::fabs(target[index] - predicted) /
+                                 std::fabs(target[index]));
             }
         }
-        return worst;
-    };
+    }
 
     std::vector<double> scores;
     scores.reserve(config_.lambdaGrid.size());
     double best_score = 1e300;
     for (double ratio : config_.lambdaGrid) {
-        scores.push_back(score(ratio));
+        auto at = std::find(path.begin(), path.end(), ratio);
+        scores.push_back(path_scores[at - path.begin()]);
         best_score = std::min(best_score, scores.back());
     }
     // Near-ties go to the smaller (more flexible) lambda, which fits
     // the full sample set better at no generalization cost.
     for (std::size_t i = 0; i < config_.lambdaGrid.size(); ++i) {
-        if (scores[i] <= best_score * 1.2)
+        if (scores[i] <= best_score * 1.2) {
+            cvScore_ = scores[i];
             return config_.lambdaGrid[i];
+        }
     }
+    cvScore_ = scores.front();
     return config_.lambdaGrid.front();
 }
 

@@ -35,8 +35,9 @@ struct MosmodelConfig
     /**
      * Select the Lasso strength per workload by internal K-fold cross
      * validation over lambdaGrid (the standard LassoCV procedure; the
-     * paper does not pin a regularization constant). When false,
-     * lasso.lambdaRatio is used as-is.
+     * paper does not pin a regularization constant): one warm-started
+     * Lasso path per fold. When false, lasso.lambdaRatio is used
+     * as-is.
      */
     bool autoLambda = true;
 
@@ -77,9 +78,16 @@ class Mosmodel : public RuntimeModel
     double chosenLambdaRatio() const { return chosenLambdaRatio_; }
 
     /**
+     * Cross-validation score of the chosen ratio: its worst held-out
+     * relative error across the folds. NaN when the ratio was
+     * configured rather than selected.
+     */
+    double cvScore() const { return cvScore_; }
+
+    /**
      * Polynomial degree the accepted fit actually used. Equals the
      * configured degree unless the fit degraded (non-finite values or
-     * non-convergence forced a lower-degree fallback).
+     * an uncertified Lasso solve forced a lower-degree fallback).
      */
     unsigned fittedDegree() const { return fittedDegree_; }
 
@@ -101,14 +109,18 @@ class Mosmodel : public RuntimeModel
 
     stats::Vector inputsOf(const Sample &point) const;
 
-    /** Pick the Lasso strength by internal K-fold cross validation. */
+    /**
+     * Pick the Lasso strength by internal K-fold cross validation;
+     * sets cvScore_ to the chosen ratio's score.
+     */
     double selectLambda(const stats::Matrix &design,
-                        const stats::Vector &target) const;
+                        const stats::Vector &target);
 
     MosmodelConfig config_;
     stats::PolynomialFeatures features_;
     stats::LassoResult result_;
     double chosenLambdaRatio_ = 0.0;
+    double cvScore_ = 0.0;
     unsigned fittedDegree_ = 0;
     std::size_t droppedSamples_ = 0;
     bool fitted_ = false;

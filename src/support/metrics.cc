@@ -30,6 +30,15 @@ MetricsRegistry::set(const std::string &name, double value)
     gauges_[name] = value;
 }
 
+void
+MetricsRegistry::raise(const std::string &name, double value)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, inserted] = gauges_.try_emplace(name, value);
+    if (!inserted && value > it->second)
+        it->second = value;
+}
+
 double
 MetricsRegistry::gauge(const std::string &name, double fallback) const
 {

@@ -61,6 +61,10 @@ class MetricsRegistry
     /** Set gauge @p name to @p value (last write wins). */
     void set(const std::string &name, double value);
 
+    /** Raise gauge @p name to @p value if it is unset or lower (a
+     *  running maximum). */
+    void raise(const std::string &name, double value);
+
     /** Current value of gauge @p name, or @p fallback if unset. */
     double gauge(const std::string &name, double fallback = 0.0) const;
 

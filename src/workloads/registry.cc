@@ -81,14 +81,23 @@ workloadLabels()
     return labels;
 }
 
-std::unique_ptr<Workload>
-makeWorkload(const std::string &label)
+Result<std::unique_ptr<Workload>>
+findWorkload(const std::string &label)
 {
     for (const auto &item : workloadRegistry()) {
         if (item.label == label)
             return item.make();
     }
-    mosaic_fatal("unknown workload label: ", label);
+    return configError("unknown workload '" + label + "'");
+}
+
+std::unique_ptr<Workload>
+makeWorkload(const std::string &label)
+{
+    auto found = findWorkload(label);
+    if (!found.ok())
+        mosaic_fatal(found.error().message());
+    return std::move(found.value());
 }
 
 } // namespace mosaic::workloads

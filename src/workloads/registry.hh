@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "support/error.hh"
 #include "workloads/workload.hh"
 
 namespace mosaic::workloads
@@ -30,7 +31,11 @@ const std::vector<RegistryEntry> &workloadRegistry();
 /** Paper labels only, in registry order. */
 std::vector<std::string> workloadLabels();
 
-/** Construct a workload by its paper label; fatal if unknown. */
+/** Construct a workload by its paper label; an unknown label is a
+ *  Config error naming it. */
+Result<std::unique_ptr<Workload>> findWorkload(const std::string &label);
+
+/** findWorkload(), fatal if the label is unknown. */
 std::unique_ptr<Workload> makeWorkload(const std::string &label);
 
 } // namespace mosaic::workloads

@@ -128,6 +128,24 @@ TEST(MosmodelConfig, AutoLambdaNoWorseThanWorstFixed)
     EXPECT_LE(auto_errors.maxError, stiff_errors.maxError + 1e-9);
 }
 
+TEST(MosmodelConfig, ReportsLambdaSelectionAndCertificate)
+{
+    Mosmodel selected{MosmodelConfig()};
+    selected.fit(campaignData());
+    EXPECT_TRUE(std::isfinite(selected.cvScore()));
+    EXPECT_GE(selected.cvScore(), 0.0);
+    EXPECT_LE(selected.lassoResult().kktRatio, stats::kLassoCertifiedKkt);
+
+    MosmodelConfig fixed;
+    fixed.autoLambda = false;
+    fixed.lasso.lambdaRatio = 1e-3;
+    Mosmodel configured(fixed);
+    configured.fit(campaignData());
+    EXPECT_TRUE(std::isnan(configured.cvScore()));
+    EXPECT_LE(configured.lassoResult().kktRatio,
+              stats::kLassoCertifiedKkt);
+}
+
 TEST(CrossValidation, EndpointPinningBoundsExtrapolation)
 {
     // Construct data whose maximal-C sample is far beyond the rest: a

@@ -12,6 +12,7 @@
 
 #include "models/mosmodel.hh"
 #include "support/fault_injector.hh"
+#include "support/metrics.hh"
 #include "support/random.hh"
 
 using namespace mosaic;
@@ -70,6 +71,21 @@ TEST_F(MosmodelFaultTest, CleanFitUsesConfiguredDegree)
     EXPECT_EQ(model.fittedDegree(), 3u);
     EXPECT_FALSE(model.degraded());
     EXPECT_EQ(model.droppedSamples(), 0u);
+}
+
+TEST_F(MosmodelFaultTest, RankDeficientDesignKeepsConfiguredDegree)
+{
+    // C = 45 M + 7 H exactly, so the degree-3 design has rank 9 of 19:
+    // every cross-validation solve and the final fit must still be
+    // certified at degree 3, with no fallback.
+    const auto fallbacks = metrics().counter("fit/degree_fallbacks");
+    const auto uncertified = metrics().counter("lasso/uncertified");
+    Mosmodel model;
+    model.fit(campaignData());
+    EXPECT_EQ(model.fittedDegree(), 3u);
+    EXPECT_LE(model.lassoResult().kktRatio, stats::kLassoCertifiedKkt);
+    EXPECT_EQ(metrics().counter("fit/degree_fallbacks"), fallbacks);
+    EXPECT_EQ(metrics().counter("lasso/uncertified"), uncertified);
 }
 
 TEST_F(MosmodelFaultTest, InjectedNanDegradesToLowerDegree)

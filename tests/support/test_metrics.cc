@@ -189,6 +189,17 @@ TEST(Metrics, GaugesKeepLastValue)
     EXPECT_DOUBLE_EQ(registry.gauge("x"), 7.25);
 }
 
+TEST(Metrics, RaiseKeepsTheRunningMaximum)
+{
+    MetricsRegistry registry;
+    registry.raise("fit/worst_kkt_ratio", 2e-12);
+    EXPECT_DOUBLE_EQ(registry.gauge("fit/worst_kkt_ratio"), 2e-12);
+    registry.raise("fit/worst_kkt_ratio", 1e-13);
+    EXPECT_DOUBLE_EQ(registry.gauge("fit/worst_kkt_ratio"), 2e-12);
+    registry.raise("fit/worst_kkt_ratio", 5e-9);
+    EXPECT_DOUBLE_EQ(registry.gauge("fit/worst_kkt_ratio"), 5e-9);
+}
+
 TEST(Metrics, ConcurrentCounterIncrementsAreLossless)
 {
     // The campaign thread pool bumps the same counters from every

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Every command-line tool refuses an option it does not read, an
-# unknown platform name, and a campaign configuration no runner can
-# honor: it exits 2 and prints one line naming the problem, before
-# doing any work.
+# unknown platform name or workload label, and a campaign
+# configuration no runner can honor: it exits 2 and prints one line
+# naming the problem, before doing any work.
 #
 # usage: unknown_options.sh TOOL_DIR
 set -u
@@ -52,6 +52,10 @@ expect_error "unknown platform 'Cray-1'" mosaic_campaign \
     --workloads gups/8GB --platforms SandyBridge,Cray-1
 expect_error "unknown platform 'Cray-1'" mosaic_run \
     --workload gups/8GB --platform Cray-1
+expect_error "config error: unknown workload 'nope/none'" \
+    mosaic_campaign --workloads nope/none
+expect_error "config error: unknown workload 'nope/none'" mosaic_run \
+    --workload nope/none --platform SandyBridge
 expect_error "incompatible with co-workload interference" \
     mosaic_campaign --workloads gups/8GB --co-workload gups/16GB \
     --mem-frames 4096 --sample-mode interval

@@ -64,6 +64,18 @@ TEST(Registry, MakeWorkloadByLabel)
     EXPECT_THROW(makeWorkload("nosuch/bench"), std::runtime_error);
 }
 
+TEST(Registry, FindWorkloadNamesAnUnknownLabel)
+{
+    auto found = findWorkload("gups/8GB");
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value()->info().label(), "gups/8GB");
+
+    auto missing = findWorkload("nope/none");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error().category(), ErrorCategory::Config);
+    EXPECT_EQ(missing.error().message(), "unknown workload 'nope/none'");
+}
+
 TEST(Registry, LabelsMatchConstructedInfo)
 {
     for (const auto &entry : workloadRegistry()) {

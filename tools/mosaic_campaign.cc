@@ -27,6 +27,7 @@
 #include "support/io_util.hh"
 #include "support/str.hh"
 #include "tools/cli_common.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
@@ -99,12 +100,20 @@ campaignMain(int argc, char **argv)
     if (args.has("help"))
         cli::usage(usageText);
 
+    // An unknown workload label is a config error up front, like an
+    // unknown platform, not a failed cell after the run.
+    auto known_workload = [](const std::string &label) {
+        cli::unwrapOrDie("mosaic_campaign",
+                         workloads::findWorkload(label));
+        return label;
+    };
     exp::CampaignConfig config;
     if (args.has("workloads")) {
         for (const auto &label :
              splitString(args.get("workloads"), ',')) {
             if (!trimString(label).empty())
-                config.workloads.push_back(trimString(label));
+                config.workloads.push_back(
+                    known_workload(trimString(label)));
         }
     }
     if (args.has("platforms")) {
@@ -187,7 +196,7 @@ campaignMain(int argc, char **argv)
                                     args.get("writeback-cost"), 0,
                                     1ull << 32));
     if (args.has("co-workload"))
-        config.coWorkload = args.get("co-workload");
+        config.coWorkload = known_workload(args.get("co-workload"));
     if (args.has("sample-mode")) {
         auto mode = sampling::sampleModeFromName(
             trimString(args.get("sample-mode")));

@@ -9,11 +9,13 @@
  *              --platform SandyBridge --models yaniv,mosmodel --describe
  */
 
+#include <cmath>
 #include <cstdio>
 
 #include "experiments/campaign.hh"
 #include "experiments/report.hh"
 #include "models/evaluation.hh"
+#include "models/mosmodel.hh"
 #include "support/str.hh"
 #include "tools/cli_common.hh"
 
@@ -25,8 +27,34 @@ constexpr const char *usageText =
     "                  [--platform NAME] [--models a,b,...]\n"
     "                  [--describe] [--metrics-out FILE]\n"
     "defaults: dataset = mosaic_dataset.csv, all pairs, all 9 models\n"
-    "--metrics-out writes a JSON run manifest (Lasso sweep counters,\n"
-    "fit timings, fallback-ladder depth) after the run.\n";
+    "--describe prints each fitted equation; a Mosmodel's line ends\n"
+    "with its Lasso selection: lambda ratio, CV score, KKT certificate.\n"
+    "--metrics-out writes a JSON run manifest (Lasso solve counters,\n"
+    "fit timings, fallback-ladder depth, worst KKT certificate) after\n"
+    "the run.\n";
+
+/**
+ * For a Mosmodel, the Lasso selection behind its equation: the lambda
+ * ratio, the ratio's cross-validation score (worst held-out error)
+ * and the fit's KKT certificate. Empty for other models.
+ */
+std::string
+lassoSelection(const mosaic::models::RuntimeModel &model)
+{
+    const auto *mosmodel =
+        dynamic_cast<const mosaic::models::Mosmodel *>(&model);
+    if (!mosmodel || !mosmodel->fitted())
+        return "";
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "  [lambda %g, cv %s, kkt %.1e]",
+                  mosmodel->chosenLambdaRatio(),
+                  std::isnan(mosmodel->cvScore())
+                      ? "-"
+                      : mosaic::formatPercent(mosmodel->cvScore(), 2)
+                            .c_str(),
+                  mosmodel->lassoResult().kktRatio);
+    return buf;
+}
 
 int
 fitMain(int argc, char **argv)
@@ -72,9 +100,10 @@ fitMain(int argc, char **argv)
                 auto errors = models::evaluateModel(*model, set);
                 cells.push_back(formatPercent(errors.maxError));
                 if (args.has("describe")) {
-                    std::printf("%s %s %s: %s\n", platform.c_str(),
+                    std::printf("%s %s %s: %s%s\n", platform.c_str(),
                                 workload.c_str(), name.c_str(),
-                                model->describe().c_str());
+                                model->describe().c_str(),
+                                lassoSelection(*model).c_str());
                 }
             }
             table.addRow(cells);

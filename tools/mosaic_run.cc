@@ -141,7 +141,8 @@ runMain(int argc, char **argv)
 
     auto platform = cli::unwrapOrDie(
         "mosaic_run", cpu::findPlatform(args.get("platform")));
-    auto workload = workloads::makeWorkload(args.get("workload"));
+    auto workload = cli::unwrapOrDie(
+        "mosaic_run", workloads::findWorkload(args.get("workload")));
 
     // One spec, or a comma list. "config:" strings embed commas in
     // their region list, so such a value is always a single spec.
