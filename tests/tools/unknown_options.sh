@@ -4,17 +4,22 @@
 # configuration no runner can honor: it exits 2 and prints one line
 # naming the problem, before doing any work.
 #
-# usage: unknown_options.sh TOOL_DIR
+# usage: unknown_options.sh TOOL_DIR BENCH_DIR
 set -u
 tools=$1
+bench=$2
 failed=0
 
-# expect_error TEXT TOOL ARG...: TOOL ARG... must exit 2 with exactly
-# one stderr line, and that line must end with TEXT.
+# expect_error TEXT TOOL ARG...: TOOL (from TOOL_DIR, else BENCH_DIR)
+# ARG... must exit 2 with exactly one stderr line, and that line must
+# end with TEXT.
 expect_error() {
     text=$1
     shift
-    err=$("$tools/$@" 2>&1 >/dev/null)
+    bin=$tools/$1
+    [ -x "$bin" ] || bin=$bench/$1
+    shift
+    err=$("$bin" "$@" 2>&1 >/dev/null)
     code=$?
     lines=$(printf '%s\n' "$err" | wc -l)
     case "$err" in
@@ -46,7 +51,13 @@ expect_rejected --outdri mosaic_export --outdri plots
 # A missing dataset makes the daemon exit even if the option slipped
 # through, instead of serving forever.
 expect_rejected --portt mosaic_serve --dataset missing.csv --portt 0
-expect_rejected --client serve_loadgen --port 1 --client 8
+# A misspelled or deleted bench option (the sampled stage's among
+# them) or a non-numeric value must not run a default bench.
+expect_rejected --recrods replay_bench --quick --recrods 5
+expect_rejected --sample-clusters replay_bench --quick \
+    --sample-clusters 8
+expect_error 'expected an unsigned integer, got "abc"' replay_bench \
+    --records abc
 
 expect_error "unknown platform 'Cray-1'" mosaic_campaign \
     --workloads gups/8GB --platforms SandyBridge,Cray-1

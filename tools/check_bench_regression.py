@@ -1,83 +1,79 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over replay_bench and serve_loadgen JSON.
+"""Perf-regression gate over replay_bench JSON.
 
-Dispatches on the input schema: "mosaic-replay-bench/*" files gate
-replay throughput (below), "mosaic-serve-bench/*" files gate the serve
-daemon's predictions/sec per client stage (--tolerance applies, each
-stage matched by client count) and require zero protocol errors in
-the fresh run. Baseline and fresh must carry the same schema family.
+Compares a freshly measured replay_bench JSON against the committed
+BENCH_replay.json and fails (exit 1) when throughput regressed beyond
+the tolerance. Both files must carry SCHEMA. Checked, all one-sided
+(only slowdowns fail, speedups pass):
 
-Compares a freshly measured BENCH_replay.json against the committed
-baseline and fails (exit 1) when throughput regressed beyond the
-tolerance. Checked, all one-sided (only slowdowns fail, speedups pass):
-
-  * aggregate.records_per_sec       -- the sequential per-cell sweep
-  * per-cell records_per_sec        -- each (platform, layout) cell,
-                                       at a wider tolerance (cells are
-                                       noisier than the aggregate)
+  * aggregate.records_per_sec       -- the per-cell sweep, at
+                                       TOLERANCE
+  * per-cell records_per_sec        -- each (platform, layout) cell of
+                                       the baseline, at CELL_TOLERANCE
+                                       (cells are noisier than the
+                                       aggregate)
   * paged.records_per_sec           -- the demand-paging replay stage
-                                       (bounded frame pool); skipped
-                                       with a note when the committed
-                                       baseline predates the paged
-                                       schema (/4). The unbounded hot
-                                       path stays guarded by the
-                                       aggregate check regardless —
-                                       the paged stage is timed
-                                       outside the sequential sweep.
-  * sampled.effective_records_per_sec -- the interval-sampled replay
-                                       stage (full-trace records
-                                       covered per second of partial
-                                       replay); skipped with a note
-                                       when the committed baseline
-                                       predates the sampled schema
-                                       (/5), like the paged stage.
+                                       (bounded frame pool), at
+                                       TOLERANCE, when the baseline
+                                       ran it. The unbounded hot path
+                                       stays guarded by the aggregate
+                                       check: the paged stage is timed
+                                       outside the sweep.
   * aggregate.host_cycles_per_record -- nominal host cycles the kernel
                                        spends per trace record
-                                       (schema /3; TSC-calibrated).
-                                       Two one-sided checks: no >20%
-                                       growth over the baseline, and
-                                       an absolute ceiling
-                                       (--cycles-ceiling, default 100)
-                                       that engages once the committed
-                                       baseline itself is under it —
-                                       so the <100-cycles ratchet
-                                       cannot silently regress. A
-                                       value of 0 means the bench
-                                       could not calibrate a clock
-                                       (non-x86 host without
-                                       MOSAIC_HOST_GHZ); cycle checks
-                                       are skipped, throughput checks
-                                       still run.
+                                       (TSC-calibrated). Two checks:
+                                       no more than TOLERANCE growth
+                                       over the baseline, and an
+                                       absolute CYCLES_CEILING that
+                                       arms once the baseline itself
+                                       is at or under it, so the
+                                       <100-cycles ratchet cannot
+                                       silently regress. A fresh value
+                                       of 0 means the bench could not
+                                       calibrate a clock (non-x86 host
+                                       without MOSAIC_HOST_GHZ): the
+                                       cycle checks are skipped, the
+                                       throughput checks still run.
 
-A baseline that predates a schema bump (missing aggregate, paged or
-sampled blocks or run-entry keys) skips the affected checks with a
-warning instead of crashing; the fresh file, produced by the current
-bench binary, is still required to carry the aggregate.
-
-The default tolerance is deliberately wide (20%) because CI runners
-are shared and noisy; the bench itself takes the min over repetitions
-after a calibration rep, which removes most cold-start noise.
+The tolerances are deliberately wide because CI runners are shared
+and noisy; the bench itself takes the min over repetitions, which
+removes most cold-start noise. Parallel and sampled replay, whole
+campaigns and the serve daemon are measured end to end, with their
+outputs checked, by perfbench (perfbench/run.py).
 
 Usage:
   check_bench_regression.py --baseline BENCH_replay.json \
-      --fresh fresh.json [--tolerance 0.20] [--cell-tolerance 0.30]
+      --fresh fresh.json
   check_bench_regression.py --self-test
 
 --self-test runs the gate against seeded synthetic bench documents
-(no files needed) and verifies that (a) an unregressed pair passes,
-(b) a deliberate sampled-throughput regression is red-flagged, and
-(c) a pre-/5 baseline skips the sampled check instead of crashing.
-It exits 0 only when all three behave.
+(written to a temporary directory) and verifies that a healthy pair
+passes, that each check above fails by name on a seeded regression,
+that a 0-cycle fresh run skips only the cycle checks, and that bad
+input exits 2. It exits 0 only when all of them behave.
 
-Exit codes: 0 no regression, 1 regression detected, 2 bad input.
+Exit codes: 0 no regression, 1 regression detected, 2 bad input (an
+unreadable file, a schema other than SCHEMA on either side, or a fresh
+run missing a number, a cell or a stage the baseline has).
 """
 
 import argparse
+import copy
 import json
+import os
+import random
 import sys
+import tempfile
 
 
-SCHEMA_FAMILIES = ("mosaic-replay-bench/", "mosaic-serve-bench/")
+SCHEMA = "mosaic-replay-bench/6"
+TOLERANCE = 0.20
+CELL_TOLERANCE = 0.30
+CYCLES_CEILING = 100.0
+
+
+class BadInput(Exception):
+    """The two files cannot be compared (exit 2)."""
 
 
 def load(path):
@@ -85,57 +81,40 @@ def load(path):
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, ValueError) as exc:
-        sys.exit(f"error: cannot load {path}: {exc}")
-    schema = str(doc.get("schema", ""))
-    if not any(schema.startswith(fam) for fam in SCHEMA_FAMILIES):
-        sys.exit(f"error: {path}: unexpected schema {schema!r}")
+        raise BadInput(f"cannot load {path}: {exc}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise BadInput(f"{path}: schema {schema!r}, expected {SCHEMA!r} "
+                       "(regenerate it with the current replay_bench)")
     return doc
 
 
-def schema_family(doc):
-    schema = str(doc.get("schema", ""))
-    for family in SCHEMA_FAMILIES:
-        if schema.startswith(family):
-            return family
-    return None
+def number(doc, side, *keys):
+    """doc[keys[0]][keys[1]]... as a number; BadInput when absent."""
+    value = doc
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadInput(f"{side}: no numeric {'.'.join(keys)}")
+    return value
 
 
-def warn(message):
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def cells(doc, path):
-    """Per-cell throughput map, tolerating schema drift.
-
-    A baseline committed before a schema bump may hold run entries
-    without the keys this gate reads; those entries are skipped with a
-    warning instead of KeyError-ing the whole gate (the remaining
-    cells still get checked).
-    """
+def cells(doc, side):
+    """Per-cell throughput by (platform, layout)."""
     out = {}
-    skipped = 0
     for run in doc.get("runs", []):
-        platform = run.get("platform")
-        layout = run.get("layout")
-        rate = run.get("records_per_sec")
-        if platform is None or layout is None or rate is None:
-            skipped += 1
-            continue
-        out[(platform, layout)] = rate
-    if skipped:
-        warn(f"{path}: skipped {skipped} run entr"
-             f"{'y' if skipped == 1 else 'ies'} missing "
-             "platform/layout/records_per_sec (older schema?)")
+        key = (run.get("platform"), run.get("layout"))
+        out[key] = number(run, f"{side} cell {key}", "records_per_sec")
     return out
 
 
 class Gate:
     def __init__(self):
         self.failures = []
-        self.checked = 0
+        self.checked = []
 
     def check(self, label, fresh, floor, detail=""):
-        self.checked += 1
+        self.checked.append(label)
         verdict = "ok" if fresh >= floor else "REGRESSION"
         print(f"  {label}: {fresh:,.0f} vs floor {floor:,.0f} "
               f"{detail}-> {verdict}")
@@ -144,7 +123,7 @@ class Gate:
 
     def check_max(self, label, fresh, ceiling, detail=""):
         """Lower-is-better metric (e.g. host cycles/record)."""
-        self.checked += 1
+        self.checked.append(label)
         verdict = "ok" if fresh <= ceiling else "REGRESSION"
         print(f"  {label}: {fresh:,.1f} vs ceiling {ceiling:,.1f} "
               f"{detail}-> {verdict}")
@@ -152,285 +131,221 @@ class Gate:
             self.failures.append(label)
 
 
-def gate_serve(baseline, fresh, args, gate):
-    """Serve-daemon gate: per-stage predictions/sec floors.
+def run_gate(baseline, fresh):
+    """Every check of the module docstring; returns the populated Gate.
+    Raises BadInput before any check runs when the pair is not
+    comparable."""
+    def both(*keys):
+        return (number(baseline, "baseline", *keys),
+                number(fresh, "fresh", *keys))
 
-    Stages are matched by client count; a baseline stage missing from
-    the fresh run fails hard (coverage must not silently shrink). Any
-    protocol errors in the fresh run fail the gate outright — a
-    half-broken daemon can post great throughput on the requests that
-    survive.
-    """
-    def stages(doc, path):
-        out = {}
-        for stage in doc.get("stages", []):
-            clients = stage.get("clients")
-            if clients is None:
-                warn(f"{path}: stage without a client count skipped")
-                continue
-            out[clients] = stage
-        return out
-
-    base_stages = stages(baseline, args.baseline)
-    fresh_stages = stages(fresh, args.fresh)
-    if not fresh_stages:
-        sys.exit("error: fresh serve bench carries no stages")
-    missing = sorted(set(base_stages) - set(fresh_stages))
+    base_agg, fresh_agg = both("aggregate", "records_per_sec")
+    base_cycles, fresh_cycles = both("aggregate", "host_cycles_per_record")
+    if base_cycles <= 0:
+        raise BadInput("baseline was measured without a calibrated "
+                       "clock (host_cycles_per_record 0)")
+    paged = both("paged", "records_per_sec") if "paged" in baseline else None
+    base_cells = cells(baseline, "baseline")
+    fresh_cells = cells(fresh, "fresh")
+    missing = sorted(set(base_cells) - set(fresh_cells))
     if missing:
-        sys.exit(f"error: fresh run is missing client stages: "
-                 f"{missing}")
+        raise BadInput(f"fresh run is missing cells: {missing}")
 
-    for clients in sorted(base_stages):
-        base_rate = base_stages[clients].get("predictions_per_sec")
-        fresh_stage = fresh_stages[clients]
-        fresh_rate = fresh_stage.get("predictions_per_sec")
-        if base_rate is None or fresh_rate is None:
-            warn(f"stage clients={clients}: no predictions_per_sec; "
-                 "skipped")
-            continue
-        gate.check(f"clients={clients} predictions/sec", fresh_rate,
-                   base_rate * (1.0 - args.tolerance),
-                   f"(baseline {base_rate:,.0f}, "
-                   f"-{args.tolerance:.0%}) ")
-        errors = fresh_stage.get("errors", 0)
-        gate.checked += 1
-        verdict = "ok" if not errors else "REGRESSION"
-        print(f"  clients={clients} protocol errors: {errors} "
-              f"-> {verdict}")
-        if errors:
-            gate.failures.append(f"clients={clients} errors")
-
-
-def gate_replay(baseline, fresh, args, gate):
-    """Replay-bench gate: aggregate/paged/sampled/cell floors."""
-
-    def describe(path, doc):
-        records = doc.get("records")
-        records_text = (f"{records:,} records"
-                        if isinstance(records, (int, float))
-                        else "record count unknown")
-        print(f"{path} ({doc.get('schema')}, {records_text})")
-
-    print("baseline: ", end="")
-    describe(args.baseline, baseline)
-    print("fresh:    ", end="")
-    describe(args.fresh, fresh)
-
-    base_agg = baseline.get("aggregate", {}).get("records_per_sec")
-    fresh_agg = fresh.get("aggregate", {}).get("records_per_sec")
-    if not fresh_agg:
-        # The fresh file comes from the current bench binary; if even
-        # it lacks the aggregate, the measurement itself is broken.
-        sys.exit("error: fresh file lacks aggregate.records_per_sec")
-    if base_agg:
-        gate.check("aggregate records/sec", fresh_agg,
-                   base_agg * (1.0 - args.tolerance),
-                   f"(baseline {base_agg:,.0f}, "
-                   f"-{args.tolerance:.0%}) ")
-    else:
-        # A baseline from before the schema carried the aggregate:
-        # skip the check rather than fail the gate on old data.
-        warn(f"{args.baseline}: no aggregate.records_per_sec "
-             "(pre-aggregate schema?); aggregate check skipped")
-
-    base_cycles = baseline.get("aggregate", {}).get(
-        "host_cycles_per_record")
-    fresh_cycles = fresh.get("aggregate", {}).get(
-        "host_cycles_per_record")
+    gate = Gate()
+    gate.check("aggregate records/sec", fresh_agg,
+               base_agg * (1.0 - TOLERANCE),
+               f"(baseline {base_agg:,.0f}, -{TOLERANCE:.0%}) ")
     if not fresh_cycles:
-        # 0 or absent: the bench ran without a calibratable clock
-        # (non-x86 host, no MOSAIC_HOST_GHZ). Throughput checks above
-        # still gate the run.
-        warn("fresh run carries no calibrated host_cycles_per_record; "
-             "cycle checks skipped")
-    elif base_cycles:
+        # The one skip that depends on the host, not on an old file.
+        print("warning: fresh run carries no calibrated "
+              "host_cycles_per_record; cycle checks skipped",
+              file=sys.stderr)
+    else:
         gate.check_max("aggregate host cycles/record", fresh_cycles,
-                       base_cycles * (1.0 + args.tolerance),
+                       base_cycles * (1.0 + TOLERANCE),
                        f"(baseline {base_cycles:,.1f}, "
-                       f"+{args.tolerance:.0%}) ")
-        if base_cycles <= args.cycles_ceiling:
+                       f"+{TOLERANCE:.0%}) ")
+        if base_cycles <= CYCLES_CEILING:
             # The ratchet: once a committed baseline gets under the
             # ceiling, no future PR may climb back above it, even if
             # the relative tolerance would allow it.
             gate.check_max("host cycles/record ceiling", fresh_cycles,
-                           args.cycles_ceiling)
-    else:
-        warn(f"{args.baseline}: no aggregate.host_cycles_per_record "
-             "(pre-/3 schema?); cycle checks skipped")
-
-    base_paged = baseline.get("paged", {}).get("records_per_sec")
-    fresh_paged = fresh.get("paged", {}).get("records_per_sec")
-    if base_paged and fresh_paged:
+                           CYCLES_CEILING)
+    if paged:
+        base_paged, fresh_paged = paged
         gate.check("paged records/sec", fresh_paged,
-                   base_paged * (1.0 - args.tolerance),
-                   f"(baseline {base_paged:,.0f}, "
-                   f"-{args.tolerance:.0%}) ")
-    elif fresh_paged and not base_paged:
-        # The demand-paging stage landed after this baseline was
-        # committed; the gate engages once the baseline is refreshed.
-        # The unbounded hot path is still guarded above — the paged
-        # stage runs outside the sequential sweep by design.
-        print("  paged records/sec: no baseline (pre-paged schema); "
-              "skipped")
-
-    base_sampled = baseline.get("sampled", {}).get(
-        "effective_records_per_sec")
-    fresh_sampled = fresh.get("sampled", {}).get(
-        "effective_records_per_sec")
-    if base_sampled and fresh_sampled:
-        gate.check("sampled effective records/sec", fresh_sampled,
-                   base_sampled * (1.0 - args.tolerance),
-                   f"(baseline {base_sampled:,.0f}, "
-                   f"-{args.tolerance:.0%}) ")
-    elif fresh_sampled and not base_sampled:
-        # The interval-sampling stage landed in schema /5; a baseline
-        # committed before it skips the check (engaging once the
-        # baseline is refreshed) exactly like the paged stage above.
-        print("  sampled effective records/sec: no baseline "
-              "(pre-sampled schema); skipped")
-
-    base_cells = cells(baseline, args.baseline)
-    fresh_cells = cells(fresh, args.fresh)
-    missing = sorted(set(base_cells) - set(fresh_cells))
-    if missing:
-        sys.exit(f"error: fresh run is missing cells: {missing}")
+                   base_paged * (1.0 - TOLERANCE),
+                   f"(baseline {base_paged:,.0f}, -{TOLERANCE:.0%}) ")
     for key in sorted(base_cells):
         platform, layout = key
         gate.check(f"cell {platform}/{layout}", fresh_cells[key],
-                   base_cells[key] * (1.0 - args.cell_tolerance))
-
-
-def run_gate(baseline, fresh, args):
-    """Dispatch on schema family; returns the populated Gate."""
-    gate = Gate()
-    if schema_family(baseline) != schema_family(fresh):
-        sys.exit("error: baseline and fresh schemas disagree "
-                 f"({baseline.get('schema')!r} vs "
-                 f"{fresh.get('schema')!r})")
-    if schema_family(fresh) == "mosaic-serve-bench/":
-        print(f"baseline: {args.baseline} ({baseline.get('schema')})")
-        print(f"fresh:    {args.fresh} ({fresh.get('schema')})")
-        gate_serve(baseline, fresh, args, gate)
-    else:
-        gate_replay(baseline, fresh, args, gate)
+                   base_cells[key] * (1.0 - CELL_TOLERANCE))
     return gate
 
 
-def self_test(args):
-    """Gate-the-gate: seeded synthetic documents prove the sampled
-    check fires on a real regression and stays quiet otherwise."""
-    import random
-
+def self_test():
+    """Gate-the-gate: seeded synthetic documents prove that every check
+    fires on a real regression, and only then, and that bad input is
+    told apart from a regression."""
     rng = random.Random(0x5A3D11E5)
-    # gate_replay labels its warnings with the input paths.
-    args.baseline = "<self-test baseline>"
-    args.fresh = "<self-test fresh>"
 
-    def synth_doc(schema, sampled_rate):
-        base_rate = 18e6 + rng.uniform(-1e5, 1e5)
-        doc = {
-            "schema": schema,
+    def synth_doc(cycles=116.0):
+        rate = 18e6 + rng.uniform(-1e5, 1e5)
+        return {
+            "schema": SCHEMA,
             "records": 2000000,
-            "aggregate": {
-                "wall_seconds": 1.3,
-                "records_per_sec": base_rate,
-                # 0 = "no calibrated clock": cycle checks skip, which
-                # keeps the self-test host-independent.
-                "host_cycles_per_record": 0,
-            },
             "runs": [
                 {"platform": "SandyBridge", "layout": "all4k",
-                 "records_per_sec": base_rate * 0.7},
+                 "records_per_sec": rate * 0.7},
                 {"platform": "SandyBridge", "layout": "all2m",
-                 "records_per_sec": base_rate * 1.3},
+                 "records_per_sec": rate * 1.3},
             ],
+            "paged": {"frames": 8192, "wall_seconds": 0.38,
+                      "records_per_sec": 5.2e6 + rng.uniform(-1e4, 1e4)},
+            "aggregate": {"wall_seconds": 1.3, "records_per_sec": rate,
+                          "host_cycles_per_record": cycles,
+                          "host_tsc_ghz": 2.1},
         }
-        if sampled_rate is not None:
-            doc["sampled"] = {
-                "interval_records": 16384,
-                "clusters": 8,
-                "warmup_records": 4096,
-                "replay_fraction": 0.068,
-                "wall_seconds": 0.08,
-                "effective_records_per_sec": sampled_rate,
-            }
-        return doc
+
+    def altered(doc, edit):
+        out = copy.deepcopy(doc)
+        edit(out)
+        return out
 
     failures = []
 
-    def expect(name, gate, want_fail, want_label=None):
-        flagged = [f for f in gate.failures
-                   if want_label is None or want_label in f]
-        ok = bool(flagged) == want_fail
+    def expect(name, gate, want_failures):
+        ok = sorted(gate.failures) == sorted(want_failures)
         print(f"self-test [{name}]: "
               f"{'ok' if ok else 'WRONG VERDICT'} "
               f"(failures: {gate.failures or 'none'})")
         if not ok:
             failures.append(name)
 
-    sampled_base = 70e6 + rng.uniform(-1e5, 1e5)
-
-    # (a) An unregressed fresh run passes.
+    # A baseline above the ceiling leaves it unarmed, so the healthy
+    # pair also shows that a fresh run above 100 cycles passes then.
+    base = synth_doc()
     print("-- self-test: healthy run --")
-    base = synth_doc("mosaic-replay-bench/5", sampled_base)
-    good = synth_doc("mosaic-replay-bench/5",
-                     sampled_base * (1.0 - args.tolerance / 2))
-    expect("healthy", run_gate(base, good, args), want_fail=False)
+    healthy = run_gate(base, synth_doc())
+    expect("healthy", healthy, [])
 
-    # (b) A seeded sampled-throughput regression (half the baseline
-    # rate, far past any sane tolerance) is red-flagged by name.
-    print("-- self-test: sampled regression --")
-    slow = synth_doc("mosaic-replay-bench/5", sampled_base * 0.5)
-    expect("sampled regression", run_gate(base, slow, args),
-           want_fail=True, want_label="sampled")
+    def slower(*keys):
+        def edit(doc):
+            holder = doc
+            for key in keys[:-1]:
+                holder = holder[key]
+            holder[keys[-1]] *= 0.5
+        return edit
 
-    # (c) A pre-bump baseline (schema /4, no sampled block) skips the
-    # sampled check instead of crashing or failing.
-    print("-- self-test: pre-/5 baseline --")
-    old = synth_doc("mosaic-replay-bench/4", None)
-    expect("pre-bump baseline", run_gate(old, good, args),
-           want_fail=False)
+    def set_cycles(value):
+        def edit(doc):
+            doc["aggregate"]["host_cycles_per_record"] = value
+        return edit
+
+    seeded = [
+        ("aggregate regression",
+         altered(base, slower("aggregate", "records_per_sec")), base,
+         ["aggregate records/sec"]),
+        ("cell regression",
+         altered(base, slower("runs", 0, "records_per_sec")), base,
+         ["cell SandyBridge/all4k"]),
+        ("paged regression",
+         altered(base, slower("paged", "records_per_sec")), base,
+         ["paged records/sec"]),
+        ("cycles/record +30%", altered(base, set_cycles(116.0 * 1.3)),
+         base, ["aggregate host cycles/record"]),
+        ("ceiling armed at 95, fresh 101",
+         altered(base, set_cycles(101.0)),
+         altered(base, set_cycles(95.0)),
+         ["host cycles/record ceiling"]),
+    ]
+    for name, fresh, baseline, want in seeded:
+        print(f"-- self-test: {name} --")
+        expect(name, run_gate(baseline, fresh), want)
+
+    print("-- self-test: fresh run without a calibrated clock --")
+    uncalibrated = run_gate(base, altered(base, set_cycles(0)))
+    expect("0 cycles", uncalibrated, [])
+    skipped = sorted(set(healthy.checked) - set(uncalibrated.checked))
+    if skipped != ["aggregate host cycles/record"]:
+        print(f"self-test [0 cycles skips only the cycle checks]: "
+              f"WRONG, skipped {skipped}")
+        failures.append("0 cycles skips only the cycle checks")
+
+    old = altered(base, lambda doc: doc.update(
+        schema="mosaic-replay-bench/5"))
+    bad_pairs = [
+        ("unknown schema", altered(base, lambda doc: doc.update(
+            schema="mosaic-serve-bench/1")), base),
+        ("/5 baseline", old, base),
+        ("/5 fresh", base, old),
+        ("fresh missing a cell", base,
+         altered(base, lambda doc: doc["runs"].pop())),
+        ("fresh missing the paged stage", base,
+         altered(base, lambda doc: doc.pop("paged"))),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, doc):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            return path
+
+        bad_input = [("unreadable file", os.path.join(tmp, "missing.json"),
+                      write("base.json", base))]
+        bad_input += [(name, write(f"{i}-baseline.json", baseline),
+                       write(f"{i}-fresh.json", fresh))
+                      for i, (name, baseline, fresh) in enumerate(bad_pairs)]
+        for name, baseline_path, fresh_path in bad_input:
+            print(f"-- self-test: bad input, {name} --")
+            code = main(["--baseline", baseline_path,
+                         "--fresh", fresh_path])
+            if code != 2:
+                print(f"self-test [{name}]: WRONG EXIT {code}")
+                failures.append(name)
 
     if failures:
         print(f"\nSELF-TEST FAIL: {', '.join(failures)}")
         return 1
-    print("\nSELF-TEST OK: the sampled gate fires when and only "
-          "when it should")
+    print("\nSELF-TEST OK: every check fires when and only when it "
+          "should, and bad input exits 2")
     return 0
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="replay_bench / serve_loadgen perf-regression gate")
+        description="replay_bench perf-regression gate")
     parser.add_argument("--baseline",
                         help="committed BENCH_replay.json")
     parser.add_argument("--fresh",
                         help="freshly measured replay_bench JSON")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed aggregate slowdown (default 0.20)")
-    parser.add_argument("--cell-tolerance", type=float, default=0.30,
-                        help="allowed per-cell slowdown (default 0.30)")
-    parser.add_argument("--cycles-ceiling", type=float, default=100.0,
-                        help="absolute host_cycles_per_record ceiling, "
-                             "enforced once the baseline is under it "
-                             "(default 100)")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate itself against seeded "
                              "synthetic documents, then exit")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.self_test:
-        return self_test(args)
+        return self_test()
     if not args.baseline or not args.fresh:
         parser.error("--baseline and --fresh are required unless "
                      "--self-test is given")
 
-    gate = run_gate(load(args.baseline), load(args.fresh), args)
+    try:
+        baseline = load(args.baseline)
+        fresh = load(args.fresh)
+        for side, path, doc in (("baseline", args.baseline, baseline),
+                                ("fresh", args.fresh, fresh)):
+            print(f"{side + ':':10}{path} ({doc['schema']}, "
+                  f"{doc.get('records', '?')} records)")
+        gate = run_gate(baseline, fresh)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if gate.failures:
-        print(f"\nFAIL: {len(gate.failures)}/{gate.checked} checks "
+        print(f"\nFAIL: {len(gate.failures)}/{len(gate.checked)} checks "
               f"regressed: {', '.join(gate.failures)}")
         return 1
-    print(f"\nOK: {gate.checked} checks passed")
+    print(f"\nOK: {len(gate.checked)} checks passed")
     return 0
 
 
