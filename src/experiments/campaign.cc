@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "cpu/system.hh"
-#include "experiments/shard.hh"
 #include "sampling/sampled_run.hh"
 #include "support/io_util.hh"
 #include "support/logging.hh"
@@ -301,42 +300,27 @@ buildWorkloadSamplePlan(const trace::MemoryTrace &trace,
 
 using PairKey = std::pair<std::string, std::string>;
 
-/** One pair of the campaign grid, as this process walks it. */
+/** One pair of the campaign grid. */
 struct GridPair
 {
     const cpu::PlatformSpec *platform;
     std::string label;
-
-    /** Position in the deduplicated grid walk — the pair's coordinate
-     *  in the shard partition, identical in every shard. */
-    std::size_t ordinal;
-
-    /** Cells of the pair this process owns (all of them unsharded). */
-    std::size_t cells;
 };
 
 /**
  * The grid in canonical order: label-major, a pair named twice visited
- * once. Pairs the shard partition gives entirely to other shards are
- * left out. The walk order defines the pair ordinals, and with them
- * the shard partition and the canonical row order.
+ * once. The walk fixes the order cells are listed and rows are
+ * assembled in.
  */
 std::vector<GridPair>
-walkGrid(const CampaignConfig &config, std::size_t cells_per_pair)
+walkGrid(const CampaignConfig &config)
 {
     std::vector<GridPair> grid;
     std::set<PairKey> seen;
-    std::size_t ordinal = 0;
     for (const auto &label : config.workloads) {
         for (const auto &platform : config.platforms) {
-            if (!seen.insert({platform.name, label}).second)
-                continue; // pair named twice in the grid; run it once
-            const std::size_t cells =
-                shardCellsOfPair(config.shardIndex, config.shardCount,
-                                 ordinal, cells_per_pair);
-            if (cells > 0)
-                grid.push_back({&platform, label, ordinal, cells});
-            ++ordinal;
+            if (seen.insert({platform.name, label}).second)
+                grid.push_back({&platform, label});
         }
     }
     return grid;
@@ -363,42 +347,6 @@ cacheFormatMatches(const Dataset &cached, const CampaignConfig &config,
                 cached.estErrColumn() ? "present" : "absent", "); ",
                 fallback);
     return false;
-}
-
-/** The hash two shard CSVs must agree on to merge: everything that
- *  defines the cell partition. */
-std::uint32_t
-partitionHash(const CampaignConfig &config, std::size_t cells_per_pair)
-{
-    std::vector<std::string> platform_names;
-    for (const auto &platform : config.platforms)
-        platform_names.push_back(platform.name);
-    // The OS configuration changes every cell's counters, so it must
-    // be part of the partition identity: shards of a paging campaign
-    // never merge with shards of a classic one (or of a paging
-    // campaign with different frame budget, policy, or costs). Folding
-    // it into the seed reuses the existing hash without changing the
-    // manifest format.
-    std::uint64_t partition_seed = config.seed;
-    if (config.os.paged()) {
-        const std::string os_tag = detail::concat(
-            "os/", config.os.memFrames, "/",
-            vm::replacementPolicyName(config.os.policy), "/",
-            config.os.majorFaultCycles, "/", config.os.writebackCycles);
-        partition_seed ^= (0x6f73ULL << 32) |
-                          crc32(os_tag.data(), os_tag.size());
-    }
-    // Sampled counters are incommensurable with full-replay ones for
-    // the same reason, and so are two different sampling configs:
-    // fold the sampling tag in exactly like the OS tag.
-    if (config.sampling.enabled()) {
-        const std::string sample_tag = config.sampling.tag();
-        partition_seed ^= (0x73616dULL << 32) |
-                          crc32(sample_tag.data(), sample_tag.size());
-    }
-    return shardConfigHash(config.workloads, platform_names,
-                           config.include1g, partition_seed,
-                           cells_per_pair, config.shardCount);
 }
 
 template <typename Body>
@@ -441,7 +389,6 @@ struct CampaignRun
     {
         std::size_t state;
         const cpu::PlatformSpec *platform;
-        std::size_t ordinal;
         const std::set<std::string> *done = nullptr;
 
         /** Open cells; decremented under the progress mutex. */
@@ -463,7 +410,6 @@ struct CampaignRun
     const std::string *cachePath;
     const unsigned jobs;
     const std::size_t cellsPerPair;
-    const bool sharded = config.shardCount > 1;
     const bool sampled = config.sampling.enabled();
     CampaignReport report;
 
@@ -479,8 +425,6 @@ struct CampaignRun
     std::vector<PairKey> coveredPairs;
     std::vector<WorkloadState> states;
     std::vector<PairTask> pairs;
-    std::size_t expectedCells = 0;
-    std::uint32_t configHash = 0;
     std::optional<CoTenant> coTenant;
     std::vector<MetricsRegistry> prepShards;
     std::vector<MetricsRegistry> cellShards;
@@ -505,13 +449,6 @@ struct CampaignRun
             dataset->setSwapColumn(config.os.paged());
             dataset->setEstErrColumn(sampled);
         }
-    }
-
-    bool
-    ownsCell(const PairTask &pair, std::size_t layout) const
-    {
-        return shardOwnsCell(config.shardIndex, config.shardCount,
-                             pair.ordinal, layout, cellsPerPair);
     }
 
     /** Stage 1: a configuration no runner can honor is one structured
@@ -584,17 +521,14 @@ struct CampaignRun
     scheduleGrid()
     {
         std::map<std::string, std::size_t> state_index;
-        for (const GridPair &grid_pair : walkGrid(config, cellsPerPair)) {
+        for (const GridPair &grid_pair : walkGrid(config)) {
             const PairKey key{grid_pair.platform->name, grid_pair.label};
             auto it = covered.find(key);
             const std::set<std::string> *done =
                 it == covered.end() ? nullptr : &it->second;
             // A fully covered pair keeps its cached rows without even
-            // a trace — but only unsharded: a shard always preps its
-            // pairs, because the shard manifest must name the pair's
-            // canonical layout order and only buildCampaignLayouts
-            // knows it.
-            if (!sharded && done && done->size() >= cellsPerPair) {
+            // a trace.
+            if (done && done->size() >= cellsPerPair) {
                 coveredPairs.push_back(key);
                 continue;
             }
@@ -603,12 +537,8 @@ struct CampaignRun
             if (inserted)
                 states.push_back({grid_pair.label, nullptr, nullptr, {},
                                   nullptr, 0, {}});
-            pairs.push_back({state_it->second, grid_pair.platform,
-                             grid_pair.ordinal, done, 0});
-            expectedCells += grid_pair.cells;
+            pairs.push_back({state_it->second, grid_pair.platform, done, 0});
         }
-        if (sharded)
-            configHash = partitionHash(config, cellsPerPair);
     }
 
     /**
@@ -729,8 +659,7 @@ struct CampaignRun
             const WorkloadState &state = states[pair.state];
             for (std::size_t li = 0;
                  !state.error && li < state.layouts.size(); ++li) {
-                if (ownsCell(pair, li) &&
-                    !(pair.done &&
+                if (!(pair.done &&
                       pair.done->count(state.layouts[li].name))) {
                     cells.push_back({p, li, {}, {}});
                     ++pair.cellsRemaining;
@@ -877,11 +806,7 @@ struct CampaignRun
         }
         std::size_t save_retries = 0;
         auto saved = retryWithBackoff(
-            config.retry,
-            [&] {
-                return snapshot.saveResult(*cachePath,
-                                           shardTrailer(snapshot));
-            },
+            config.retry, [&] { return snapshot.saveResult(*cachePath); },
             &save_retries);
         report.retriesPerformed += save_retries;
         if (saved.ok()) {
@@ -891,47 +816,6 @@ struct CampaignRun
             mosaic_warn("campaign checkpoint to ", *cachePath,
                         " failed: ", saved.error().str());
         }
-    }
-
-    /**
-     * The embedded manifest appended to every sharded CSV write
-     * (checkpoints included, so even a killed shard leaves a valid —
-     * merely incomplete — shard file behind for a degraded merge).
-     * Canonical layout order per pair comes from the prepped states;
-     * pairs whose prep failed contribute no order line and no rows.
-     */
-    std::string
-    shardTrailer(const Dataset &snapshot) const
-    {
-        if (!sharded)
-            return "";
-        std::vector<ShardPairOrder> order;
-        for (const auto &pair : pairs) {
-            const WorkloadState &state = states[pair.state];
-            if (state.error || state.layouts.empty())
-                continue;
-            ShardPairOrder entry;
-            entry.platform = pair.platform->name;
-            entry.workload = state.label;
-            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-                entry.layouts.push_back(state.layouts[li].name);
-                entry.owned.push_back(ownsCell(pair, li));
-            }
-            order.push_back(std::move(entry));
-        }
-        ShardManifest manifest;
-        manifest.shardIndex = config.shardIndex;
-        manifest.shardCount = config.shardCount;
-        manifest.cells = snapshot.totalRuns();
-        manifest.expected = expectedCells;
-        manifest.cellsPerPair = cellsPerPair;
-        manifest.configHash = configHash;
-        const std::string csv = snapshot.toCsv();
-        const std::size_t header_bytes =
-            std::string(snapshot.csvHeader()).size() + 1; // + '\n'
-        manifest.rowCrc =
-            crc32(csv.data() + header_bytes, csv.size() - header_bytes);
-        return formatShardTrailer(manifest, order);
     }
 
     /** Merge the worker shards into the caller's registry on the
@@ -954,14 +838,6 @@ struct CampaignRun
         registry.set("campaign/jobs",
                      static_cast<double>(cellShards.size()));
         registry.set("campaign/sampled", sampled ? 1.0 : 0.0);
-        if (sharded) {
-            registry.set("campaign/shard_index",
-                         static_cast<double>(config.shardIndex));
-            registry.set("campaign/shard_count",
-                         static_cast<double>(config.shardCount));
-            registry.set("campaign/shard_cells_expected",
-                         static_cast<double>(expectedCells));
-        }
         std::size_t trace_retries = 0;
         for (const auto &state : states)
             trace_retries += state.retries;
@@ -1021,8 +897,6 @@ struct CampaignRun
             }
             for (std::size_t li = 0; li < state.layouts.size(); ++li) {
                 const auto &named = state.layouts[li];
-                if (!ownsCell(pair, li))
-                    continue; // another shard's cell, never a local one
                 if (pair.done && pair.done->count(named.name)) {
                     emit(resumedBase.findRun(platform, state.label,
                                              named.name),
@@ -1052,13 +926,7 @@ struct CampaignRun
         std::size_t save_retries = 0;
         auto saved = retryWithBackoff(
             config.retry,
-            [&]() -> Result<void> {
-                if (sharded &&
-                    context.faults().shouldFail(FaultSite::ShardWrite))
-                    return ioError("injected shard-write fault");
-                return report.dataset.saveResult(
-                    *cachePath, shardTrailer(report.dataset));
-            },
+            [&] { return report.dataset.saveResult(*cachePath); },
             &save_retries);
         report.retriesPerformed += save_retries;
         if (!saved.ok()) {
@@ -1087,15 +955,11 @@ CampaignConfig::validate() const
         return configError("sampled replay is incompatible with "
                            "co-workload interference");
     }
-    // The interleave needs a bounded shared pool, and the shard
-    // partition hash does not cover co-tenancy (two shards with
-    // different co-workloads would merge into a nonsense dataset).
+    // The interleave needs a bounded shared pool.
     if (!os.paged()) {
         return configError("co-workload interference requires a "
                            "bounded frame pool (--mem-frames > 0)");
     }
-    if (shardCount > 1)
-        return configError("co-workload campaigns cannot be sharded");
     return Result<void>();
 }
 
@@ -1184,15 +1048,14 @@ CampaignRunner::loadOrRun(const std::string &cache_path)
             // incomplete, or the missing cells would never be
             // simulated (as the resume index dedups them too).
             bool complete = true;
-            for (const GridPair &pair :
-                 walkGrid(config_, expectedCellsPerPair())) {
+            for (const GridPair &pair : walkGrid(config_)) {
                 std::set<std::string> distinct;
                 if (cached.value().has(pair.platform->name, pair.label)) {
                     for (const auto &record : cached.value().runs(
                              pair.platform->name, pair.label))
                         distinct.insert(record.layout);
                 }
-                if (distinct.size() < pair.cells) {
+                if (distinct.size() < expectedCellsPerPair()) {
                     complete = false;
                     break;
                 }

@@ -94,18 +94,6 @@ struct CampaignConfig
     std::size_t checkpointEvery = 1;
 
     /**
-     * Shard coordinates for multi-process campaigns ("--shard i/N"):
-     * this process simulates only the cells the deterministic
-     * round-robin partition (exp::shardOwnsCell over the canonical
-     * slot order) assigns to shardIndex, and its dataset CSV carries
-     * an embedded manifest so mosaic_merge can validate and splice the
-     * shards back into the byte-identical canonical dataset.
-     * shardCount <= 1 disables sharding.
-     */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-
-    /**
      * OS-level memory management for every cell. The default
      * (unbounded) config reproduces the classic campaign bit for bit:
      * the dataset CSV keeps the legacy 19-field header and stays
@@ -121,10 +109,9 @@ struct CampaignConfig
      * co-workload (backed with its all-4KB baseline layout) over one
      * *shared* bounded frame pool (cpu::simulateRunTenants), and the
      * recorded (R, H, M, C, S) row is the primary tenant's readout
-     * under contention. Requires a bounded `os`; incompatible with
-     * sharding (the partition hash does not cover co-tenancy).
-     * Deterministic for any jobs count: each cell owns a private
-     * shared pool, and the interleave order is fixed by tenant order.
+     * under contention. Requires a bounded `os`. Deterministic for any
+     * jobs count: each cell owns a private shared pool, and the
+     * interleave order is fixed by tenant order.
      */
     std::string coWorkload;
 
@@ -136,7 +123,7 @@ struct CampaignConfig
      * reported error bound). The plan is a pure function of (trace,
      * sampling config) — layout- and platform-independent — so it is
      * built once per workload and the dataset stays byte-identical
-     * for any jobs/shard count. The default (mode off) reproduces the
+     * for any jobs count. The default (mode off) reproduces the
      * full-replay campaign bit for bit. Incompatible with coWorkload
      * (the interleaved tenant engine replays whole traces).
      */
@@ -152,8 +139,8 @@ struct CampaignConfig
 
     /**
      * The invariants no runner can honor, as one Config error: a
-     * co-workload needs a bounded frame pool, cannot be sharded, and
-     * cannot be combined with sampled replay.
+     * co-workload needs a bounded frame pool and cannot be combined
+     * with sampled replay.
      */
     Result<void> validate() const;
 };

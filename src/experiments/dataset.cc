@@ -150,7 +150,7 @@ constexpr const char *kCsvHeaderSwap =
     "s";
 
 /** Sampled campaigns append est_err after every other column (after s
- *  when both extensions are on), preserving the positional prefix for
+ *  when both extensions are on), keeping the shared prefix in place for
  *  the same reason. */
 constexpr const char *kCsvHeaderEstErr =
     "platform,workload,layout,runtime,h,m,c,instructions,refs,l1tlbhits,"
@@ -194,17 +194,11 @@ datasetCsvHeaderEstErr()
 }
 
 const char *
-datasetCsvHeaderFor(bool swap_column, bool est_err_column)
-{
-    if (swap_column)
-        return est_err_column ? kCsvHeaderSwapEstErr : kCsvHeaderSwap;
-    return est_err_column ? kCsvHeaderEstErr : kCsvHeader;
-}
-
-const char *
 Dataset::csvHeader() const
 {
-    return datasetCsvHeaderFor(swapColumn_, estErrColumn_);
+    if (swapColumn_)
+        return estErrColumn_ ? kCsvHeaderSwapEstErr : kCsvHeaderSwap;
+    return estErrColumn_ ? kCsvHeaderEstErr : kCsvHeader;
 }
 
 std::string
@@ -240,10 +234,9 @@ Dataset::toCsv() const
 }
 
 Result<void>
-Dataset::saveResult(const std::string &path,
-                    const std::string &trailer) const
+Dataset::saveResult(const std::string &path) const
 {
-    return writeFileAtomic(path, toCsv() + trailer);
+    return writeFileAtomic(path, toCsv());
 }
 
 Result<Dataset>
@@ -274,14 +267,12 @@ Dataset::loadResult(const std::string &path, DatasetLoadStats *stats)
         std::string trimmed = trimString(line);
         if (trimmed.empty())
             continue;
-        // Comment lines (the embedded shard manifest) are part of the
-        // format, not damage: skip them without counting them as
-        // malformed rows.
-        if (trimmed[0] == '#')
-            continue;
         auto fields = splitString(line, ',');
         RunRecord record;
-        bool good = fields.size() == expected_fields;
+        // getline() hit end of file before a newline: the row is the
+        // torn tail of a killed writer, even if a counter cut short
+        // still parses as a number.
+        bool good = !file.eof() && fields.size() == expected_fields;
         if (good) {
             record.platform = fields[0];
             record.workload = fields[1];

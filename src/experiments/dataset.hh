@@ -100,21 +100,18 @@ class Dataset
     /**
      * Persist to CSV atomically (temp file + fsync + rename): readers
      * and a rerun after a mid-write kill see either the previous
-     * complete file or the new one, never a torn mix. @p trailer, when
-     * non-empty, is appended verbatim after the last row — sharded
-     * campaigns use it for the embedded "# mosaic-shard" manifest
-     * (loadResult() skips comment lines, so a trailer never perturbs a
-     * resume).
+     * complete file or the new one, never a torn mix.
      */
-    Result<void> saveResult(const std::string &path,
-                            const std::string &trailer = "") const;
+    Result<void> saveResult(const std::string &path) const;
 
     /**
      * Load a previously saved dataset. Malformed data rows — the tail
      * a killed writer without atomic rename would leave, or rot — are
      * skipped and counted in @p stats, so a partial cache still seeds
-     * a campaign resume. Errors: Io (unreadable), Corrupt (wrong
-     * header — not a mosaic dataset).
+     * a campaign resume. Every row a writer emits ends in a newline,
+     * so a last line without one is such a tail even when its fields
+     * parse. Errors: Io (unreadable), Corrupt (wrong header — not a
+     * mosaic dataset).
      */
     static Result<Dataset> loadResult(const std::string &path,
                                       DatasetLoadStats *stats = nullptr);
@@ -171,10 +168,6 @@ const char *datasetCsvHeaderSwap();
 /** The sampling-extended header (legacy + ",est_err"), emitted by
  *  interval-sampled campaigns. */
 const char *datasetCsvHeaderEstErr();
-
-/** The header for any (swap, est_err) column combination — the four
- *  valid dataset CSV formats. */
-const char *datasetCsvHeaderFor(bool swap_column, bool est_err_column);
 
 } // namespace mosaic::exp
 

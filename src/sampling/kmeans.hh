@@ -3,7 +3,7 @@
  * Deterministic k-means for interval-signature clustering.
  *
  * The campaign's byte-determinism contract (same CSV regardless of
- * --jobs or sharding) extends to sampling, so the clustering must be
+ * --jobs) extends to sampling, so the clustering must be
  * a pure function of its inputs: no RNG draws at run time, no
  * iteration-order dependence on hash maps or threads.
  *

@@ -8,9 +8,8 @@
  * (deterministic seeded init), and one representative interval per
  * cluster — the member closest to the centroid, lowest index on ties
  * — is selected for replay with a warmup prefix. Because nothing else
- * feeds the plan, every campaign worker and shard derives the
- * identical plan, which is what keeps sampled campaign CSVs
- * byte-deterministic across --jobs/--shard.
+ * feeds the plan, every run derives the identical plan, which is what
+ * keeps sampled campaign CSVs byte-deterministic across --jobs.
  *
  * The plan is also layout- and platform-independent (signatures read
  * only the trace), so the campaign builds it once per workload during

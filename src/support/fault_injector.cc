@@ -11,9 +11,8 @@ namespace
 {
 
 constexpr const char *siteNames[] = {
-    "csv-truncate", "csv-open",     "lasso-nan",
-    "sim-lane",     "store-open",   "store-corrupt",
-    "store-commit", "shard-write",  "merge-read",
+    "csv-truncate", "csv-open",      "lasso-nan",    "sim-lane",
+    "store-open",   "store-corrupt", "store-commit",
 };
 
 static_assert(sizeof(siteNames) / sizeof(siteNames[0]) ==

@@ -45,8 +45,6 @@ enum class FaultSite : std::size_t
     StoreOpen,    ///< open/mmap of a columnar trace store fails
     StoreCorrupt, ///< bytes of a written store column are flipped
     StoreCommit,  ///< a store is published without its commit marker
-    ShardWrite,   ///< writing a shard CSV reports failure
-    MergeRead,    ///< reading a shard CSV during merge fails
     NumSites
 };
 

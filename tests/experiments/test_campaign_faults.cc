@@ -368,3 +368,48 @@ TEST_F(CampaignFaultTest, LoadOrRunTreatsDuplicateRowCacheAsIncomplete)
             << record.layout;
     }
 }
+
+/**
+ * The per-cell watchdog: an impossible budget makes every cell fail
+ * with a Timeout error. The campaign completes, nothing hangs, and the
+ * failures are attributed to cells, not the process.
+ */
+TEST_F(CampaignFaultTest, CellTimeoutFailsEveryCellAsTimeout)
+{
+    CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
+    config.jobs = 2;
+    config.cellTimeoutSeconds = 1e-9;
+    MetricsRegistry registry;
+    CampaignReport report =
+        CampaignRunner(config, SimContext(registry, faults())).runReport();
+
+    EXPECT_EQ(report.cellsCompleted, 0u);
+    ASSERT_EQ(report.failures.size(), 55u);
+    for (const auto &failure : report.failures)
+        EXPECT_EQ(failure.error.category(), ErrorCategory::Timeout);
+    EXPECT_EQ(registry.counter("campaign/cells_timed_out"), 55u);
+}
+
+/**
+ * A final save that cannot be written (here: its directory is missing)
+ * exhausts the backoff and is one structured Io failure named "save";
+ * every cell still simulated, and a rerun to a writable path saves.
+ */
+TEST_F(CampaignFaultTest, FinalSaveFailureFailsTheSaveNotTheRun)
+{
+    CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
+    config.retry.initialDelay = std::chrono::milliseconds(0);
+    CampaignReport report = CampaignRunner(config).runReport(
+        scratch_.file("no-such-dir/x.csv"));
+    EXPECT_EQ(report.cellsCompleted, 55u);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].layout, "save");
+    EXPECT_EQ(report.failures[0].error.category(), ErrorCategory::Io);
+
+    std::string csv = scratch_.file("x.csv");
+    CampaignReport retry = CampaignRunner(config).runReport(csv);
+    EXPECT_TRUE(retry.allOk()) << retry.summary();
+    auto saved = Dataset::loadResult(csv);
+    ASSERT_TRUE(saved.ok()) << saved.error().str();
+    EXPECT_EQ(saved.value().totalRuns(), 55u);
+}

@@ -174,19 +174,6 @@ TEST(CampaignPaging, CoWorkloadRequiresBoundedPool)
     EXPECT_EQ(report.cellsCompleted, 0u);
 }
 
-TEST(CampaignPaging, CoWorkloadCannotBeSharded)
-{
-    CampaignConfig config = pagingConfig();
-    config.os = boundedOs();
-    config.coWorkload = "test/noisy";
-    config.shardIndex = 0;
-    config.shardCount = 2;
-    CampaignRunner runner(config);
-    CampaignReport report = runner.runReport();
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_EQ(report.failures[0].error.category(), ErrorCategory::Config);
-}
-
 TEST(CampaignPaging, InterferenceSlowsThePrimaryTenant)
 {
     CampaignConfig config = pagingConfig();

@@ -2,8 +2,9 @@
  * @file
  * Determinism stress tests for the parallel campaign scheduler: the
  * same grid must produce a byte-identical dataset CSV and identical
- * golden counters for any --jobs value, and a killed run must resume
- * under a parallel scheduler without recomputing or duplicating cells.
+ * golden counters for any --jobs value, and a killed run, torn CSV
+ * tail included, must resume under a parallel scheduler without
+ * recomputing or duplicating cells.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/scratch_dir.hh"
 #include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
+#include "support/io_util.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
@@ -152,4 +154,33 @@ TEST_F(CampaignParallelTest, KilledRunResumesUnderParallelScheduler)
     EXPECT_EQ(resumed.cellsCompleted, dropped);
     EXPECT_EQ(resumed.dataset.totalRuns(), kept + dropped);
     EXPECT_EQ(slurp(resume_csv), full_bytes);
+}
+
+TEST_F(CampaignParallelTest, TornCsvTailResumesByteIdentical)
+{
+    CampaignConfig config = test::tinyCampaign();
+    config.jobs = 4;
+    std::string full_csv = scratch_.file("full.csv");
+    CampaignReport full = CampaignRunner(config).runReport(full_csv);
+    ASSERT_TRUE(full.allOk()) << full.summary();
+    std::string full_bytes = slurp(full_csv);
+
+    // A writer killed mid-row leaves a torn tail. Cut copies of the
+    // uninterrupted CSV resume to the same bytes, recomputing the torn
+    // row: one cut at a third of its bytes, one without the final
+    // newline and last digit, and one inside the last counter of the
+    // row before, which then still has every field and parses.
+    const std::size_t last_row_end =
+        full_bytes.rfind('\n', full_bytes.size() - 2);
+    for (std::size_t cut : {full_bytes.size() / 3, full_bytes.size() - 2,
+                            last_row_end - 1}) {
+        std::string torn_csv = scratch_.file("torn.csv");
+        ASSERT_TRUE(
+            writeFileAtomic(torn_csv, full_bytes.substr(0, cut)).ok());
+        CampaignReport torn = CampaignRunner(config).runReport(torn_csv);
+        ASSERT_TRUE(torn.allOk()) << torn.summary();
+        EXPECT_GT(torn.cellsCompleted, 0u) << "cut at " << cut;
+        EXPECT_EQ(torn.cellsResumed + torn.cellsCompleted, 3u * 55u);
+        EXPECT_EQ(slurp(torn_csv), full_bytes) << "cut at " << cut;
+    }
 }

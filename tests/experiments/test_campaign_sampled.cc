@@ -1,7 +1,7 @@
 /**
  * @file
  * Sampled campaigns: the est_err CSV column round-trips, the sampled
- * dataset is byte-identical across jobs/shard scheduling, the
+ * dataset is byte-identical across jobs scheduling, the
  * resume format guard keeps full-replay and sampled caches apart, and
  * sampling actually replays fewer records than the full campaign.
  */
@@ -14,7 +14,6 @@
 #include "common/scratch_dir.hh"
 #include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
-#include "experiments/shard.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
@@ -97,38 +96,6 @@ TEST_F(CampaignSampledTest, ByteIdenticalAcrossJobsAndFused)
     std::string serial_bytes = slurp(serial_csv);
     ASSERT_FALSE(serial_bytes.empty());
     EXPECT_EQ(serial_bytes, slurp(wide_csv));
-}
-
-TEST_F(CampaignSampledTest, TwoShardMergeIsByteIdenticalToUnsharded)
-{
-    CampaignConfig config = sampledConfig();
-    config.jobs = 4;
-    std::string full_csv = scratch_.file("full.csv");
-    CampaignReport full = CampaignRunner(config).runReport(full_csv);
-    ASSERT_TRUE(full.allOk()) << full.summary();
-
-    auto runShard = [&](unsigned index, const char *name) {
-        CampaignConfig shard_config = config;
-        shard_config.shardIndex = index;
-        shard_config.shardCount = 2;
-        std::string csv = scratch_.file(name);
-        CampaignReport report =
-            CampaignRunner(shard_config).runReport(csv);
-        EXPECT_TRUE(report.allOk()) << report.summary();
-        return csv;
-    };
-    auto a = readShardFile(runShard(0, "shard0.csv"));
-    auto b = readShardFile(runShard(1, "shard1.csv"));
-    ASSERT_TRUE(a.ok()) << a.error().str();
-    ASSERT_TRUE(b.ok()) << b.error().str();
-    EXPECT_TRUE(a.value().estErrColumn);
-    EXPECT_TRUE(b.value().estErrColumn);
-
-    auto merged = mergeShards({a.value(), b.value()}, false);
-    ASSERT_TRUE(merged.ok()) << merged.error().str();
-    EXPECT_TRUE(merged.value().missing.empty());
-    EXPECT_EQ(merged.value().rowsMerged, 3u * 55u);
-    EXPECT_EQ(merged.value().csv, slurp(full_csv));
 }
 
 TEST_F(CampaignSampledTest, ResumeFormatGuardKeepsFormatsApart)

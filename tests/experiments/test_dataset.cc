@@ -177,7 +177,9 @@ TEST(Dataset, LoadSkipsMalformedRows)
     // would leave: a half-written row, a non-numeric row, junk — plus
     // the rows std::stoull used to let through: a negative count
     // (wraps to 2^64-1) and a number with trailing junk (silently
-    // truncated). The strict parser must reject all of them.
+    // truncated) — and a last row cut inside its final counter, which
+    // still has every field and parses but lacks its newline. The
+    // strict parser must reject all of them.
     FILE *file = std::fopen(path.c_str(), "a");
     std::fputs("SandyBridge,toy/a,chopped,123\n", file);
     std::fputs("SandyBridge,toy/a,bad,x,y,z,w,v,u,t\n", file);
@@ -188,6 +190,9 @@ TEST(Dataset, LoadSkipsMalformedRows)
     std::fputs("SandyBridge,toy/a,junk,123abc,2,3,4,5,6,7,8,9,10,11,12,"
                "13,14,15,16\n",
                file);
+    std::fputs("SandyBridge,toy/a,torn,1,2,3,4,5,6,7,8,9,10,11,12,13,14,"
+               "15,82",
+               file);
     std::fclose(file);
 
     DatasetLoadStats stats;
@@ -196,7 +201,7 @@ TEST(Dataset, LoadSkipsMalformedRows)
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.value().totalRuns(), dataset.totalRuns());
     EXPECT_EQ(stats.rowsLoaded, dataset.totalRuns());
-    EXPECT_EQ(stats.rowsSkipped, 5u);
+    EXPECT_EQ(stats.rowsSkipped, 6u);
 }
 
 TEST(Dataset, SaveIsAtomicAndLeavesNoTempFile)

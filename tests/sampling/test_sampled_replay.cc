@@ -276,8 +276,8 @@ TEST(SampledReplay, WarmupSweepErrorShrinksOnChaseHeavy)
 }
 
 /** Plans and estimates are pure functions of their inputs: two
- *  derivations agree bit for bit (what lets every campaign worker and
- *  shard derive the plan independently). */
+ *  derivations agree bit for bit (what lets every campaign and serve
+ *  cold fill derive the plan independently). */
 TEST(SampledReplay, PlanAndEstimateAreDeterministic)
 {
     CellInput input = makeCellInput("win2m", kGupsHeavy, 50000);

@@ -60,17 +60,26 @@ TEST(Cli, TrailingFlag)
 
 TEST(Cli, PositionalArguments)
 {
-    Args args = parse({"first", "--key", "value", "second"});
-    ASSERT_EQ(args.positional.size(), 2u);
-    EXPECT_EQ(args.positional[0], "first");
-    EXPECT_EQ(args.positional[1], "second");
+    // No tool reads a bare word, so one before or after an option's
+    // value (a forgotten option name) is a Config error naming it.
+    for (auto words : {std::vector<const char *>{"first", "--key", "v"},
+                       std::vector<const char *>{"--key", "v", "first"}}) {
+        auto args = parseWith(words, {"key"});
+        ASSERT_FALSE(args.ok());
+        EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+        EXPECT_NE(args.error().str().find("unexpected argument 'first'"),
+                  std::string::npos)
+            << args.error().str();
+    }
 }
 
 TEST(Cli, DefaultsWhenMissing)
 {
     Args args = parse({});
     EXPECT_EQ(args.get("layout", "all-4KB"), "all-4KB");
-    EXPECT_TRUE(args.positional.empty());
+    EXPECT_TRUE(args.options.empty());
+    // A value without its option does not fall back to the default.
+    EXPECT_FALSE(parseWith({"all-2MB"}, {"layout"}).ok());
 }
 
 TEST(Cli, RepeatedKeyLastWins)
@@ -98,11 +107,13 @@ TEST(CliUnknownOptions, BareFlagsAndValuesAreCheckedAlike)
     EXPECT_FALSE(parseWith({"--job", "8"}, {"jobs"}).ok());
     // "--key=value" is not the accepted "--key value" form.
     EXPECT_FALSE(parseWith({"--jobs=4"}, {"jobs"}).ok());
-    // Positionals are not options and need no accepted name.
-    auto args = parseWith({"shard0.csv", "--jobs", "4"}, {"jobs"});
-    ASSERT_TRUE(args.ok());
-    EXPECT_EQ(args.value().positional.size(), 1u);
-    EXPECT_EQ(args.value().get("jobs"), "4");
+    // A bare word is refused like an unknown option.
+    auto args = parseWith({"x.csv", "--jobs", "4"}, {"jobs"});
+    ASSERT_FALSE(args.ok());
+    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+    EXPECT_NE(args.error().str().find("unexpected argument 'x.csv'"),
+              std::string::npos)
+        << args.error().str();
 }
 
 TEST(CliUnknownOptions, ToolEntryPointExitsTwoWithOneLine)

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Every command-line tool refuses an option it does not read, an
-# unknown platform name or workload label, and a campaign
-# configuration no runner can honor: it exits 2 and prints one line
-# naming the problem, before doing any work.
+# Every command-line tool refuses an option it does not read, a word
+# that is no option's value, an unknown platform name or workload
+# label, and a campaign configuration no runner can honor: it exits 2
+# and prints one line naming the problem, before doing any work.
 #
 # usage: unknown_options.sh TOOL_DIR BENCH_DIR
 set -u
@@ -46,7 +46,6 @@ expect_rejected --trace-cahce mosaic_campaign --workloads none/none \
 expect_rejected --jbos mosaic_run --workload gups/8GB \
     --platform SandyBridge --jbos 2
 expect_rejected --dataest mosaic_fit --dataest x.csv
-expect_rejected --outt mosaic_merge --outt x.csv shard.csv
 expect_rejected --outdri mosaic_export --outdri plots
 # A missing dataset makes the daemon exit even if the option slipped
 # through, instead of serving forever.
@@ -72,8 +71,13 @@ expect_error "incompatible with co-workload interference" \
     --mem-frames 4096 --sample-mode interval
 expect_error "requires a bounded frame pool (--mem-frames > 0)" \
     mosaic_campaign --workloads gups/8GB --co-workload gups/16GB
-expect_error "co-workload campaigns cannot be sharded" \
-    mosaic_campaign --workloads gups/8GB --co-workload gups/16GB \
-    --mem-frames 4096 --shard 0/2
+# Campaigns have no sharding and no jobs alias, and a stray word is
+# refused: a forgotten --platforms must not run every platform.
+expect_rejected --shard mosaic_campaign --workloads gups/8GB \
+    --co-workload gups/16GB --mem-frames 4096 --shard 0/2
+expect_rejected --threads mosaic_campaign --workloads gups/8GB \
+    --threads 2
+expect_error "unexpected argument 'SandyBridge'" mosaic_campaign \
+    --workloads gups/8GB SandyBridge --no-1gb --jobs 4
 
 exit $failed

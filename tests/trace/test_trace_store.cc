@@ -142,8 +142,8 @@ TEST_F(TraceStoreTest, EmptyTraceRoundTrips)
 TEST_F(TraceStoreTest, SaveIsByteDeterministic)
 {
     // The generation is derived from the column CRCs, not a clock, so
-    // two saves of the same trace publish byte-identical files — the
-    // property the CI shard-determinism gate leans on.
+    // two saves of the same trace publish byte-identical files, so a
+    // regenerated store matches the one it replaces.
     TempFile a("store_det_a.mtsc");
     std::string b_path = a.scratch.file("store_det_b.mtsc");
     MemoryTrace trace = randomTrace(5000);

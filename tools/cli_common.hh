@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/error.hh"
 #include "support/fault_injector.hh"
@@ -27,11 +26,10 @@
 namespace mosaic::cli
 {
 
-/** Parsed "--key value" options plus positional arguments. */
+/** Parsed "--key value" options. */
 struct Args
 {
     std::map<std::string, std::string> options;
-    std::vector<std::string> positional;
 
     bool
     has(const std::string &key) const
@@ -50,10 +48,11 @@ struct Args
 /**
  * Parse argv against the option names a tool accepts. "--key value"
  * pairs become options; "--flag" followed by another option (or
- * nothing) becomes a true flag; everything else is positional. A
- * "--key" outside @p accepted is a Config error naming it, so a
- * misspelled option ("--jbos 4") can never run the tool with default
- * settings.
+ * nothing) becomes a true flag. A "--key" outside @p accepted, or a
+ * word that is neither an option nor its value, is a Config error
+ * naming it, so a misspelled option ("--jbos 4") or a forgotten one
+ * ("--workloads gups/8GB SandyBridge") can never run the tool with
+ * default settings.
  */
 inline Result<Args>
 parseArgsResult(int argc, char **argv,
@@ -74,7 +73,7 @@ parseArgsResult(int argc, char **argv,
                 args.options[key] = "true";
             }
         } else {
-            args.positional.push_back(word);
+            return configError("unexpected argument '" + word + "'");
         }
     }
     return args;
@@ -84,7 +83,7 @@ parseArgsResult(int argc, char **argv,
  * Strict numeric option parsing. The std::stoul/std::stod idiom the
  * tools used to rely on silently truncates trailing garbage
  * ("--jobs 4x" became 4) and wraps negatives into huge unsigned
- * values ("--shard -1/4" became 2^64-1). These helpers reject both
+ * values ("--jobs -1" became 2^64-1). These helpers reject both
  * with a structured Numeric error naming the offending option and
  * enforce an inclusive [min, max] range at the parse boundary, so a
  * bad flag dies with a one-line diagnosis instead of a confusing
@@ -220,8 +219,8 @@ unwrapOrDie(const char *tool, Result<T> result)
     return std::move(result).okOrThrow();
 }
 
-/** parseArgsResult() at a tool's entry point: an unknown option
- *  prints one line naming it and exits 2. */
+/** parseArgsResult() at a tool's entry point: an unknown option or a
+ *  stray word prints one line naming it and exits 2. */
 inline Args
 parseArgs(const char *tool, int argc, char **argv,
           std::initializer_list<std::string_view> accepted)

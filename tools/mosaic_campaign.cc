@@ -37,7 +37,7 @@ constexpr const char *usageText =
     "                       [--jobs N] [--no-1gb] [--out FILE]\n"
     "                       [--resume] [--trace-cache DIR]\n"
     "                       [--checkpoint-every N] [--max-retries N]\n"
-    "                       [--shard I/N] [--cell-timeout SECONDS]\n"
+    "                       [--cell-timeout SECONDS]\n"
     "                       [--mem-frames N] [--replacement POLICY]\n"
     "                       [--swap-cost CYCLES]\n"
     "                       [--writeback-cost CYCLES]\n"
@@ -50,14 +50,9 @@ constexpr const char *usageText =
     "          hardware concurrency, out = mosaic_dataset.csv,\n"
     "          checkpoint every pair\n"
     "--jobs picks the worker-thread count; the dataset CSV is\n"
-    "byte-identical for any value (--threads is a deprecated alias).\n"
+    "byte-identical for any value.\n"
     "--resume keeps cells already present in --out instead of\n"
     "recomputing them; without it the output is rebuilt from scratch.\n"
-    "--shard I/N runs only the cells the deterministic round-robin\n"
-    "partition assigns to shard I (0-based) of N; the output CSV\n"
-    "carries an embedded manifest so `mosaic_merge` can validate and\n"
-    "splice the N shard CSVs into the byte-identical canonical\n"
-    "dataset.\n"
     "--cell-timeout gives each cell a watchdog budget in seconds; a\n"
     "cell that exceeds it fails with a timeout error instead of\n"
     "hanging its worker (0 = off, the default).\n"
@@ -70,7 +65,7 @@ constexpr const char *usageText =
     "charge in cycles. --co-workload replays every cell against the\n"
     "named workload (all-4KB baseline) over one shared frame pool and\n"
     "records the primary tenant's counters under interference;\n"
-    "requires --mem-frames > 0 and cannot be combined with --shard.\n"
+    "requires --mem-frames > 0.\n"
     "--sample-mode interval replays only one representative interval\n"
     "per behavior cluster of each trace (plus a warmup prefix) and\n"
     "records cluster-weighted extrapolated counters, extending every\n"
@@ -79,8 +74,8 @@ constexpr const char *usageText =
     "(default 16384), --sample-clusters the cluster count K (default\n"
     "8), --sample-warmup the per-segment warmup prefix in records\n"
     "(default 4096). The sampled CSV is byte-identical for any\n"
-    "--jobs/--shard combination; --sample-mode off (the default)\n"
-    "is byte-identical to a classic full-replay run.\n"
+    "--jobs; --sample-mode off (the default) is byte-identical to a\n"
+    "classic full-replay run.\n"
     "Incompatible with --co-workload.\n"
     "--metrics-out writes a JSON run manifest (config, per-phase\n"
     "timings, trace-cache/retry counters, failures) after the run.\n";
@@ -91,12 +86,12 @@ campaignMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseArgs(
         "mosaic_campaign", argc, argv,
-        {"help", "workloads", "platforms", "jobs", "threads", "no-1gb",
-         "out", "resume", "trace-cache", "checkpoint-every",
-         "max-retries", "shard", "cell-timeout", "mem-frames",
-         "replacement", "swap-cost", "writeback-cost", "co-workload",
-         "sample-mode", "sample-interval", "sample-clusters",
-         "sample-warmup", "metrics-out"});
+        {"help", "workloads", "platforms", "jobs", "no-1gb", "out",
+         "resume", "trace-cache", "checkpoint-every", "max-retries",
+         "cell-timeout", "mem-frames", "replacement", "swap-cost",
+         "writeback-cost", "co-workload", "sample-mode",
+         "sample-interval", "sample-clusters", "sample-warmup",
+         "metrics-out"});
     if (args.has("help"))
         cli::usage(usageText);
 
@@ -131,11 +126,6 @@ campaignMain(int argc, char **argv)
             "mosaic_campaign",
             cli::parseUnsignedValue("jobs", args.get("jobs"), 1,
                                     4096)));
-    else if (args.has("threads")) // deprecated alias, kept for scripts
-        config.jobs = static_cast<unsigned>(cli::unwrapOrDie(
-            "mosaic_campaign",
-            cli::parseUnsignedValue("threads", args.get("threads"), 1,
-                                    4096)));
     if (args.has("no-1gb"))
         config.include1g = false;
     if (args.has("trace-cache"))
@@ -151,23 +141,6 @@ campaignMain(int argc, char **argv)
                     cli::parseUnsignedValue(
                         "max-retries", args.get("max-retries"), 0,
                         100)));
-    if (args.has("shard")) {
-        const std::string spec = args.get("shard");
-        auto slash = spec.find('/');
-        std::uint64_t index = 0, count = 0;
-        if (slash == std::string::npos ||
-            !parseUnsignedFull(spec.substr(0, slash), index) ||
-            !parseUnsignedFull(spec.substr(slash + 1), count) ||
-            count == 0 || index >= count) {
-            std::fprintf(stderr,
-                         "mosaic_campaign: bad --shard '%s' (want "
-                         "I/N with 0 <= I < N)\n",
-                         spec.c_str());
-            return 2;
-        }
-        config.shardIndex = static_cast<unsigned>(index);
-        config.shardCount = static_cast<unsigned>(count);
-    }
     if (args.has("cell-timeout"))
         config.cellTimeoutSeconds = cli::unwrapOrDie(
             "mosaic_campaign",
@@ -262,12 +235,6 @@ campaignMain(int argc, char **argv)
     manifest.setConfig("checkpoint_every",
                        static_cast<std::uint64_t>(
                            effective.checkpointEvery));
-    manifest.setConfig("shard_index",
-                       static_cast<std::uint64_t>(
-                           effective.shardIndex));
-    manifest.setConfig("shard_count",
-                       static_cast<std::uint64_t>(
-                           effective.shardCount));
     manifest.setConfig("cell_timeout_seconds",
                        std::to_string(effective.cellTimeoutSeconds));
     manifest.setConfig("mem_frames",
