@@ -182,15 +182,16 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
     if (!platform.ok())
         return platform.error();
 
-    // A one-pair campaign at jobs 1: the same trace store (with
-    // quarantine and retries), layouts and replay as mosaic_campaign,
-    // in full or, with --cold-sampled, over one shared sample plan.
-    // The query's cooperative deadline rides in on the context, so a
-    // timed-out query abandons the fill within one chunk.
+    // A one-pair campaign at the daemon's width: the same trace store
+    // (with quarantine and retries), layouts and replay as
+    // mosaic_campaign, in full or, with --cold-sampled, over one
+    // shared sample plan. The query's cooperative deadline rides in on
+    // the context, so a timed-out query abandons the fill within one
+    // chunk.
     exp::CampaignConfig config;
     config.workloads = {key.second};
     config.platforms = {platform.value()};
-    config.jobs = 1;
+    config.jobs = options_.jobs;
     config.verbose = false;
     config.include1g = options_.include1g;
     config.seed = options_.seed;

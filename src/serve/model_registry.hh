@@ -7,21 +7,24 @@
  * Warm path: the pair's SampleSet is resident (loaded from a campaign
  * CSV at startup or produced by an earlier cold simulation); the
  * requested model is fitted lazily once per (pair, model) and predicts
- * in microseconds. Cold path: a one-pair exp::CampaignRunner run at
- * jobs 1 for the querying worker — the campaign's trace store (with
- * quarantine and retries), layouts and replay — bounded by the query's
- * cooperative SimContext deadline; concurrent cold queries for the
- * same pair deduplicate into one simulation (single-flight), with
- * followers waiting — also deadline-bounded — for the leader's result.
- * No trace stays resident after a fill; --trace-cache is what skips
- * regeneration.
+ * in microseconds. Cold path: a one-pair exp::CampaignRunner run — the
+ * campaign's trace store (with quarantine and retries), layouts and
+ * replay — bounded by the query's cooperative SimContext deadline;
+ * concurrent cold queries for the same pair deduplicate into one
+ * simulation (single-flight), with followers waiting — also
+ * deadline-bounded — for the leader's result. Every fill replays on
+ * Options::jobs threads (at most one per cell), each simulating its
+ * own machine, so fills of F distinct pairs in flight together run F
+ * times as many. No trace stays resident after a fill; --trace-cache
+ * is what skips regeneration.
  *
  * With Options::coldSampling enabled (--cold-sampled), the cold path
  * trades the full replay for interval-sampled replay: one sample
  * plan is built per trace and every layout replays only the plan's
- * representative segments, extrapolating the full-run counters. Cold
- * pairs then become resident in seconds instead of minutes, at the
- * plan's documented error bound.
+ * representative segments, extrapolating the full-run counters, at
+ * the plan's documented error bound. At jobs 2 on a 4-vCPU host a
+ * full fill of a paper pair takes 0.7-2.4 s (gapbs/bfs-road to
+ * graph500/8GB), a sampled one 0.3-0.8 s.
  */
 
 #ifndef MOSAIC_SERVE_MODEL_REGISTRY_HH
@@ -80,6 +83,9 @@ class ModelRegistry
 
         /** Refuse cold simulations (serve only what was loaded). */
         bool allowCold = true;
+
+        /** Replay threads of every cold fill (mosaic_serve's --jobs). */
+        unsigned jobs = 1;
 
         /**
          * Interval-sampled cold simulations: when enabled, cold pairs

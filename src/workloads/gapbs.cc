@@ -35,14 +35,27 @@ GapbsWorkload::info() const
             gapbsKernelName(params_.kernel) + "-" + params_.graphName};
 }
 
-Bytes
-GapbsWorkload::heapPoolSize() const
+namespace
 {
-    SyntheticGraph graph(params_.graph);
+
+/** The CSR, two property arrays and the visited bitmap plus 4 MiB of
+ *  slack. */
+Bytes
+heapPoolBytes(const SyntheticGraph &graph)
+{
     Bytes props = graph.numVertices() * 8 * 2 + graph.numVertices() / 8;
     return alignUp(graph.offsetsBytes() + graph.adjacencyBytes() + props +
                        4_MiB,
                    2_MiB);
+}
+
+} // namespace
+
+Bytes
+GapbsWorkload::heapPoolSize() const
+{
+    return heapPoolSize_.get(
+        [this] { return heapPoolBytes(SyntheticGraph(params_.graph)); });
 }
 
 GapbsWorkload::Arrays
@@ -264,6 +277,9 @@ trace::MemoryTrace
 GapbsWorkload::generateTrace() const
 {
     SyntheticGraph graph(params_.graph);
+    // Size the pool from this graph, so baselineAllocConfig() does not
+    // build a second one.
+    heapPoolSize_.get([&graph] { return heapPoolBytes(graph); });
     TraceBuilder builder(baselineAllocConfig(), params_.refBudget + 64);
     Arrays arrays = allocateArrays(builder, graph);
 

@@ -79,6 +79,7 @@ class GapbsWorkload : public Workload
                  const Arrays &arrays) const;
 
     GapbsParams params_;
+    PoolSizeMemo heapPoolSize_;
 };
 
 /** The paper's six GAPBS instances. */

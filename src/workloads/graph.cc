@@ -1,5 +1,6 @@
 #include "workloads/graph.hh"
 
+#include <atomic>
 #include <cmath>
 
 #include "support/logging.hh"
@@ -7,9 +8,17 @@
 namespace mosaic::workloads
 {
 
+namespace
+{
+
+std::atomic<std::uint64_t> graphsBuilt{0};
+
+} // namespace
+
 SyntheticGraph::SyntheticGraph(const GraphParams &params)
     : params_(params)
 {
+    ++graphsBuilt;
     const std::uint64_t v = params_.numVertices;
     mosaic_assert(v >= 16, "graph too small");
     degrees_.resize(v);
@@ -121,6 +130,12 @@ SyntheticGraph::neighbor(std::uint64_t u, std::uint32_t i) const
       }
     }
     mosaic_panic("bad graph kind");
+}
+
+std::uint64_t
+SyntheticGraph::built()
+{
+    return graphsBuilt;
 }
 
 GraphParams

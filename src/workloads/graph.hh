@@ -19,6 +19,7 @@
 #define MOSAIC_WORKLOADS_GRAPH_HH
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -95,12 +96,40 @@ class SyntheticGraph
         return numEdges_ * 8;
     }
 
+    /** Graphs built so far in this process, by any thread: how a test
+     *  checks that preparing a workload builds exactly one. */
+    static std::uint64_t built();
+
   private:
     GraphParams params_;
     std::vector<std::uint32_t> degrees_;
     std::vector<std::uint64_t> offsets_; ///< prefix sums, V+1 entries
     std::uint64_t numEdges_ = 0;
     std::uint64_t gridWidth_ = 0; ///< road graphs
+};
+
+/**
+ * A graph workload's pool size, worked out once per workload object
+ * and safe to read from any thread. The first caller's @p size runs:
+ * generateTrace() reads the size off the graph it has already built,
+ * any other caller builds one. Every later call reuses the size, so
+ * preparing a workload builds one graph however often a campaign asks
+ * for the pool size.
+ */
+class PoolSizeMemo
+{
+  public:
+    template <typename Size>
+    Bytes
+    get(Size &&size) const
+    {
+        std::call_once(once_, [&] { bytes_ = size(); });
+        return bytes_;
+    }
+
+  private:
+    mutable std::once_flag once_;
+    mutable Bytes bytes_ = 0;
 };
 
 /** Named presets for the paper's graph inputs. */

@@ -30,20 +30,35 @@ Graph500Workload::info() const
     return {"graph500", params_.sizeName};
 }
 
-Bytes
-Graph500Workload::anonPoolSize() const
+namespace
 {
-    SyntheticGraph graph(graphParams());
+
+/** The CSR, parent and visited arrays plus 4 MiB of slack. */
+Bytes
+anonPoolBytes(const SyntheticGraph &graph)
+{
     Bytes props = graph.numVertices() * 8 + graph.numVertices() / 8;
     return alignUp(graph.offsetsBytes() + graph.adjacencyBytes() + props +
                        4_MiB,
                    2_MiB);
 }
 
+} // namespace
+
+Bytes
+Graph500Workload::anonPoolSize() const
+{
+    return anonPoolSize_.get(
+        [this] { return anonPoolBytes(SyntheticGraph(graphParams())); });
+}
+
 trace::MemoryTrace
 Graph500Workload::generateTrace() const
 {
     SyntheticGraph graph(graphParams());
+    // Size the pool from this graph, so baselineAllocConfig() does not
+    // build a second one.
+    anonPoolSize_.get([&graph] { return anonPoolBytes(graph); });
     TraceBuilder builder(baselineAllocConfig(), params_.refBudget + 64);
     auto &allocator = builder.allocator();
 

@@ -45,10 +45,12 @@ class Graph500Workload : public Workload
 
     const Graph500Params &params() const { return params_; }
 
-  private:
+    /** The graph this instance traverses. */
     GraphParams graphParams() const;
 
+  private:
     Graph500Params params_;
+    PoolSizeMemo anonPoolSize_;
 };
 
 Graph500Params graph500Small();  ///< "2GB"

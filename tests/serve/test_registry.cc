@@ -3,16 +3,20 @@
  * Tests for the serve ModelRegistry: warm predictions from a loaded
  * campaign dataset, structured rejection of unknown names, and the
  * cold path — on-demand simulation, the interval-sampled cold
- * variant, per-layout failure isolation, single-flight dedup, deadline
- * timeouts, and trace-store reuse and quarantine.
+ * variant, per-layout failure isolation, single-flight dedup, the
+ * fill's replay width, deadline timeouts, and trace-store reuse and
+ * quarantine.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -59,6 +63,30 @@ tinyQuery()
     query.byLayout = true;
     query.layout = "grow-3";
     return query;
+}
+
+/** Every layout of @p platform's resident tiny surface measured the
+ *  runtime @p campaign recorded for it. */
+void
+expectCampaignSurface(ModelRegistry &registry, const std::string &platform,
+                      const exp::Dataset &campaign)
+{
+    MetricsRegistry shard;
+    SimContext context(shard, faults());
+    const auto &runs = campaign.runs(platform, "test/tiny");
+    ASSERT_EQ(runs.size(), 55u);
+    for (const auto &run : runs) {
+        PredictQuery query = tinyQuery();
+        query.platform = platform;
+        query.layout = run.layout;
+        auto answer = registry.predict(query, context);
+        ASSERT_TRUE(answer.ok()) << run.layout << ": "
+                                 << answer.error().str();
+        EXPECT_FALSE(answer.value().cold) << run.layout;
+        EXPECT_EQ(answer.value().measuredCycles,
+                  static_cast<double>(run.result.runtimeCycles))
+            << platform << " " << run.layout;
+    }
 }
 
 } // namespace
@@ -246,12 +274,17 @@ TEST(ServeRegistry, ColdSampledPathEstimatesAndReplaysFewerRecords)
 
 TEST(ServeRegistry, ColdLaneFaultDropsOneLayoutUnlessItIsAReference)
 {
-    // Cold layouts replay in campaign order, so the 2nd machine built
-    // is grow-1: a fault there costs that one layout, and the pair is
-    // still fitted and answers.
+    // At jobs 1 cold layouts replay in campaign order, so the 2nd
+    // machine built is grow-1: a fault there costs that one layout,
+    // and the pair is still fitted and answers. A wider fill builds
+    // machines in whatever order its threads reach them, and the N-th
+    // sim-lane hit would name no particular layout, so this test pins
+    // the width to 1.
+    ModelRegistry::Options serial = coldOptions();
+    serial.jobs = 1;
     faults().reset();
     {
-        ModelRegistry registry(coldOptions());
+        ModelRegistry registry(serial);
         MetricsRegistry shard;
         SimContext context(shard, faults());
         faults().arm(FaultSite::SimLane, 2);
@@ -264,7 +297,7 @@ TEST(ServeRegistry, ColdLaneFaultDropsOneLayoutUnlessItIsAReference)
 
     // The 1st is the all-4KB reference every model needs: the cold
     // fill fails with an error naming it, and nothing is cached.
-    ModelRegistry registry(coldOptions());
+    ModelRegistry registry(serial);
     MetricsRegistry shard;
     SimContext context(shard, faults());
     faults().arm(FaultSite::SimLane, 1);
@@ -304,6 +337,78 @@ TEST(ServeRegistry, ConcurrentColdQueriesDedupToOneSimulation)
 
     EXPECT_EQ(okCount.load(), kThreads);
     EXPECT_EQ(shard.counter("serve/cold_simulations"), 1u);
+}
+
+TEST(ServeRegistry, LoneColdFillReplaysAtTheDaemonsFullWidth)
+{
+    ModelRegistry::Options options = coldOptions();
+    options.jobs = 4;
+    ModelRegistry registry(std::move(options));
+    MetricsRegistry shard;
+    SimContext context(shard, faults());
+
+    auto prediction = registry.predict(tinyQuery(), context);
+    ASSERT_TRUE(prediction.ok()) << prediction.error().str();
+    EXPECT_TRUE(prediction.value().cold);
+    EXPECT_EQ(shard.gauge("campaign/jobs"), 4.0);
+
+    // Replaying wide changes no counter: the whole surface is the
+    // campaign's.
+    expectCampaignSurface(registry, "SandyBridge", sharedDataset());
+}
+
+TEST(ServeRegistry, OverlappingColdFillsEachReplayAtTheDaemonsWidth)
+{
+    // Each fill builds its workload before it replays. A factory that
+    // waits there for the other fill keeps both fills in flight
+    // together until both have arrived.
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0; ///< fills that reached the factory
+    int met = 0;     ///< fills that saw the other one arrive
+    ModelRegistry::Options options = coldOptions();
+    options.jobs = 2;
+    options.workloadFactory = [&](const std::string &label) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++arrived;
+        cv.notify_all();
+        if (cv.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return arrived >= 2; }))
+            ++met;
+        return test::tinyFactory(label);
+    };
+    ModelRegistry registry(std::move(options));
+
+    const std::array<std::string, 2> platforms = {"SandyBridge",
+                                                  "Haswell"};
+    std::array<MetricsRegistry, 2> shards;
+    std::array<bool, 2> cold = {false, false};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+        threads.emplace_back([&, i] {
+            PredictQuery query = tinyQuery();
+            query.platform = platforms[i];
+            auto prediction =
+                registry.predict(query, SimContext(shards[i], faults()));
+            cold[i] = prediction.ok() && prediction.value().cold;
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    ASSERT_EQ(met, 2) << "the two fills never overlapped";
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+        EXPECT_TRUE(cold[i]) << platforms[i];
+        EXPECT_EQ(shards[i].gauge("campaign/jobs"), 2.0) << platforms[i];
+    }
+
+    const exp::Dataset campaign =
+        exp::CampaignRunner(
+            test::tinyCampaign({cpu::sandyBridge(), cpu::haswell()}))
+            .runReport()
+            .dataset;
+    for (const auto &platform : platforms)
+        expectCampaignSurface(registry, platform, campaign);
 }
 
 TEST(ServeRegistry, ExpiredDeadlineTimesOutTheColdPath)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Every command-line tool refuses an option it does not read, a word
 # that is no option's value, an unknown platform name or workload
-# label, and a campaign configuration no runner can honor: it exits 2
-# and prints one line naming the problem, before doing any work.
+# label, a campaign configuration no runner can honor, and a campaign
+# --out it could not write: it exits 2 and prints one line naming the
+# problem, before doing any work.
 #
 # usage: unknown_options.sh TOOL_DIR BENCH_DIR
 set -u
@@ -79,5 +80,10 @@ expect_rejected --threads mosaic_campaign --workloads gups/8GB \
     --threads 2
 expect_error "unexpected argument 'SandyBridge'" mosaic_campaign \
     --workloads gups/8GB SandyBridge --no-1gb --jobs 4
+# The dataset path is probed before the first cell, not after the last.
+expect_error \
+    "cannot write --out /no-such-dir/x.csv: No such file or directory" \
+    mosaic_campaign --workloads gups/8GB,gups/16GB --jobs 2 \
+    --out /no-such-dir/x.csv
 
 exit $failed

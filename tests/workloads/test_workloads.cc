@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "trace/miss_profile.hh"
 #include "workloads/gapbs.hh"
 #include "workloads/graph500.hh"
@@ -39,7 +42,90 @@ tinyGapbs(GapbsKernel kernel)
     return params;
 }
 
+/** The registry's graph workloads, by label. */
+std::vector<const RegistryEntry *>
+graphEntries()
+{
+    std::vector<const RegistryEntry *> out;
+    for (const auto &entry : workloadRegistry()) {
+        auto workload = entry.make();
+        if (dynamic_cast<const Graph500Workload *>(workload.get()) ||
+            dynamic_cast<const GapbsWorkload *>(workload.get()))
+            out.push_back(&entry);
+    }
+    return out;
+}
+
+/** The primary pool size as every call used to work it out: over a
+ *  freshly built graph. */
+Bytes
+freshGraphPoolSize(const Workload &workload)
+{
+    const auto *g500 = dynamic_cast<const Graph500Workload *>(&workload);
+    const auto *gapbs = dynamic_cast<const GapbsWorkload *>(&workload);
+    SyntheticGraph graph(g500 ? g500->graphParams()
+                              : gapbs->params().graph);
+    const Bytes props = graph.numVertices() * 8 * (g500 ? 1 : 2) +
+                        graph.numVertices() / 8;
+    return alignUp(graph.offsetsBytes() + graph.adjacencyBytes() + props +
+                       4_MiB,
+                   2_MiB);
+}
+
 } // namespace
+
+TEST(GraphPoolSize, FirstAskedFromManyThreadsMatchesAFreshGraph)
+{
+    const auto entries = graphEntries();
+    ASSERT_EQ(entries.size(), 9u);
+    for (const RegistryEntry *entry : entries) {
+        auto workload = entry->make();
+        const Bytes expected = freshGraphPoolSize(*workload);
+        const std::uint64_t graphs = SyntheticGraph::built();
+        std::vector<Bytes> sizes(4);
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            threads.emplace_back(
+                [&, i] { sizes[i] = workload->primaryPoolSize(); });
+        }
+        for (auto &thread : threads)
+            thread.join();
+        for (Bytes size : sizes)
+            EXPECT_EQ(size, expected) << entry->label;
+        EXPECT_EQ(workload->primaryPoolSize(), expected) << entry->label;
+        // However many threads ask, and however often, one graph.
+        EXPECT_EQ(SyntheticGraph::built() - graphs, 1u) << entry->label;
+    }
+}
+
+TEST(GraphPoolSize, SizedByGenerateTraceMatchesAFreshGraph)
+{
+    const auto entries = graphEntries();
+    ASSERT_EQ(entries.size(), 9u);
+    for (const RegistryEntry *entry : entries) {
+        auto workload = entry->make();
+        // What a campaign asks before its cells run: the trace, then
+        // the pool size three times for the layouts. generateTrace()
+        // sizes the pool from the graph it builds, so that is the only
+        // graph, and no second one is built while it is alive.
+        const std::uint64_t graphs = SyntheticGraph::built();
+        const auto trace = workload->generateTrace();
+        for (int i = 0; i < 3; ++i)
+            workload->primaryPoolSize();
+        EXPECT_EQ(SyntheticGraph::built() - graphs, 1u) << entry->label;
+
+        EXPECT_EQ(workload->primaryPoolSize(),
+                  freshGraphPoolSize(*workload))
+            << entry->label;
+        // The trace stays inside the pool it was sized for.
+        const VirtAddr base = workload->primaryPoolBase();
+        const VirtAddr end = base + workload->primaryPoolSize();
+        for (const auto &record : trace.records()) {
+            ASSERT_GE(record.vaddr, base) << entry->label;
+            ASSERT_LT(record.vaddr, end) << entry->label;
+        }
+    }
+}
 
 TEST(Registry, NineteenPaperBenchmarks)
 {
@@ -133,7 +219,6 @@ TEST(Graph500, UsesAnonPoolViaMmap)
     auto trace = workload.generateTrace();
     EXPECT_GE(trace.size(), params.refBudget);
     VirtAddr base = alloc::PoolAddresses::anonBase;
-    // anonPoolSize() builds the whole graph: size the pool once.
     VirtAddr end = base + workload.anonPoolSize();
     for (const auto &record : trace.records()) {
         ASSERT_GE(record.vaddr, base);

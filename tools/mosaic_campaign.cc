@@ -17,11 +17,14 @@
  *                   --platforms SandyBridge --jobs 4 --out mcf.csv
  *   mosaic_campaign --out big.csv --resume --trace-cache traces/
  *
- * Exit codes: 0 all cells completed, 2 usage error, 3 campaign
- * finished but some cells failed (the summary lists them).
+ * Exit codes: 0 all cells completed, 2 usage error (an --out it
+ * cannot write included), 3 campaign finished but some cells failed
+ * (the summary lists them).
  */
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "experiments/campaign.hh"
 #include "support/io_util.hh"
@@ -79,6 +82,26 @@ constexpr const char *usageText =
     "Incompatible with --co-workload.\n"
     "--metrics-out writes a JSON run manifest (config, per-phase\n"
     "timings, trace-cache/retry counters, failures) after the run.\n";
+
+/**
+ * Whether the dataset save will be able to write @p out. The save
+ * stages into tempPathFor(out) and renames it over @p out, so create
+ * and remove exactly that file: an unwritable path fails before any
+ * cell is simulated, not after all of them.
+ */
+mosaic::Result<void>
+probeWritable(const std::string &out)
+{
+    const std::string staged = mosaic::tempPathFor(out);
+    std::FILE *file = std::fopen(staged.c_str(), "w");
+    if (!file) {
+        return mosaic::ioError("cannot write --out " + out + ": " +
+                               std::strerror(errno));
+    }
+    std::fclose(file);
+    std::remove(staged.c_str());
+    return mosaic::Result<void>();
+}
 
 int
 campaignMain(int argc, char **argv)
@@ -207,6 +230,7 @@ campaignMain(int argc, char **argv)
     cli::unwrapOrDie("mosaic_campaign", config.validate());
 
     std::string out = args.get("out", exp::defaultDatasetPath());
+    cli::unwrapOrDie("mosaic_campaign", probeWritable(out));
     exp::CampaignRunner runner(config);
     if (!args.has("resume")) {
         // A fresh run must not resume from a stale file of the same

@@ -5,9 +5,9 @@
  * and answers PREDICT queries over a line-oriented protocol on a
  * loopback TCP port or a Unix-domain socket. Warm (platform, workload)
  * pairs answer from the fitted model in microseconds; unknown pairs
- * fall back to an on-demand one-pair campaign whose surface is cached
- * for every later query (its trace is not: --trace-cache keeps it on
- * disk).
+ * fall back to an on-demand one-pair campaign, replayed on --jobs
+ * threads, whose surface is cached for every later query (its trace
+ * is not: --trace-cache keeps it on disk).
  *
  * SIGTERM/SIGINT drain in-flight queries, fold per-worker metric
  * shards, optionally write the --metrics-out manifest, and exit 0.
@@ -49,7 +49,13 @@ const char *kUsage =
     "                     comma-separated paths)\n"
     "  --socket PATH      listen on a Unix-domain socket\n"
     "  --port N           listen on 127.0.0.1:N (default: 0 = pick)\n"
-    "  --jobs N           worker threads (default 2)\n"
+    "  --jobs N           worker threads, and the replay threads every\n"
+    "                     cold fill runs (one machine each, at most\n"
+    "                     one per layout; default 2); fills of F pairs\n"
+    "                     at once run F times as many. A lone paper-\n"
+    "                     pair fill peaks at 22-59 MiB RSS at --jobs 2\n"
+    "                     and 156-215 MiB at --jobs 55, and is no\n"
+    "                     faster past the host's core count\n"
     "  --query-timeout S  per-query cooperative deadline (default 0 =\n"
     "                     unbounded; cold simulations honor it too)\n"
     "  --trace-cache DIR  columnar trace-store cache for cold paths\n"
@@ -60,9 +66,11 @@ const char *kUsage =
     "                     was loaded)\n"
     "  --cold-sampled     answer cold pairs with interval-sampled\n"
     "                     replay (one representative segment set per\n"
-    "                     trace) instead of the full grid —\n"
-    "                     seconds instead of minutes per pair, at the\n"
-    "                     sample plan's documented error bound\n"
+    "                     trace) instead of the full grid, at the\n"
+    "                     sample plan's documented error bound:\n"
+    "                     gups/8GB, graph500/8GB and gapbs/bfs-road\n"
+    "                     fill in 0.3-0.8 s instead of 0.7-2.4 s\n"
+    "                     (--jobs 2, 4-vCPU host)\n"
     "  --sample-interval N  sampled-cold interval length in records\n"
     "                     (default 16384)\n"
     "  --sample-clusters K  sampled-cold cluster count (default 8)\n"
@@ -85,7 +93,13 @@ main(int argc, char **argv)
         if (args.has("help"))
             cli::usage(kUsage);
 
+        // One width for the daemon: --jobs workers answer queries, and
+        // every cold fill replays on as many threads.
+        const auto jobs = static_cast<unsigned>(cli::unwrapOrDie(
+            "mosaic_serve", cli::unsignedOption(args, "jobs", 2, 1, 256)));
+
         serve::ModelRegistry::Options regOptions;
+        regOptions.jobs = jobs;
         regOptions.traceCacheDir = args.get("trace-cache");
         regOptions.include1g = !args.has("no-1gb");
         regOptions.allowCold = !args.has("no-cold");
@@ -130,9 +144,7 @@ main(int argc, char **argv)
         options.port = static_cast<std::uint16_t>(cli::unwrapOrDie(
             "mosaic_serve",
             cli::unsignedOption(args, "port", 0, 0, 65535)));
-        options.workers = static_cast<unsigned>(cli::unwrapOrDie(
-            "mosaic_serve",
-            cli::unsignedOption(args, "jobs", 2, 1, 256)));
+        options.workers = jobs;
         options.queryTimeoutSeconds = cli::unwrapOrDie(
             "mosaic_serve",
             cli::doubleOption(args, "query-timeout", 0.0, 0.0,
