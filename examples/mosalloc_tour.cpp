@@ -90,14 +90,13 @@ main()
                 formatPercent(stats.anonFragmentation, 2).c_str());
 
     // The export the MMU consumes.
-    auto mappings = allocator.pageMappings();
     std::uint64_t count4k = 0, count2m = 0;
-    for (const auto &mapping : mappings) {
+    allocator.forEachPageMapping([&](const PageMapping &mapping) {
         if (mapping.pageSize == PageSize::Page4K)
             ++count4k;
         else if (mapping.pageSize == PageSize::Page2M)
             ++count2m;
-    }
+    });
     std::printf("page-table export: %llu x 4KB + %llu x 2MB pages "
                 "across all pools\n",
                 static_cast<unsigned long long>(count4k),

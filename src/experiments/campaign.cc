@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -363,16 +364,22 @@ runPool(unsigned n, Body &&body)
 /**
  * One CampaignRunner run: the state its stages hand each other.
  * CampaignRunner::runImpl() calls the stages in order — validate,
- * index the resume cache, walk the grid, prepare workloads, execute
- * cells, assemble and save — and returns the report.
+ * index the resume cache, schedule the grid, execute cells (preparing
+ * each workload on demand), assemble and save — and returns the
+ * report.
  */
 struct CampaignRun
 {
-    /** Shared immutable inputs of one workload's cells, prepared once
-     *  (trace + layouts are platform-independent). */
+    /**
+     * One workload's shared inputs (trace + layouts are platform-
+     * independent). The first worker to take one of its cells prepares
+     * them under `once`; the commit of its last cell drops the trace
+     * and plan. The layouts stay: assembly names the rows by them.
+     */
     struct WorkloadState
     {
         std::string label;
+        std::once_flag once;
         std::unique_ptr<workloads::Workload> workload;
         std::shared_ptr<const trace::MemoryTrace> trace;
         std::vector<layouts::NamedLayout> layouts;
@@ -383,6 +390,12 @@ struct CampaignRun
 
         std::size_t retries = 0;
         std::optional<Error> error;
+
+        /** Uncommitted cells over all the workload's pairs, and
+         *  whether it is prepared and not yet dropped; both under the
+         *  progress mutex. */
+        std::size_t cellsRemaining = 0;
+        bool live = false;
     };
 
     struct PairTask
@@ -391,12 +404,14 @@ struct CampaignRun
         const cpu::PlatformSpec *platform;
         const std::set<std::string> *done = nullptr;
 
-        /** Open cells; decremented under the progress mutex. */
+        /** Uncommitted cells; decremented under the progress mutex. */
         std::size_t cellsRemaining = 0;
     };
 
-    /** One open cell. Once it ran, exactly one of record/failure is
-     *  set, written under the progress mutex. */
+    /** One layout position of a pair. Once it ran, at most one of
+     *  record/failure is set, written under the progress mutex:
+     *  neither when the cache already covers the layout or the
+     *  workload could not be prepared. */
     struct Cell
     {
         std::size_t pair;
@@ -423,10 +438,9 @@ struct CampaignRun
     std::map<PairKey, std::set<std::string>> covered;
 
     std::vector<PairKey> coveredPairs;
-    std::vector<WorkloadState> states;
+    std::deque<WorkloadState> states; ///< a once_flag never moves
     std::vector<PairTask> pairs;
     std::optional<CoTenant> coTenant;
-    std::vector<MetricsRegistry> prepShards;
     std::vector<MetricsRegistry> cellShards;
 
     // Execution: the canonical cell list, and the progress accounting
@@ -436,8 +450,9 @@ struct CampaignRun
     StopWatch watch;
     std::size_t cellsDone = 0;
     std::size_t pairsDone = 0;
-    std::size_t totalPairs = 0;
     std::size_t sinceCheckpoint = 0;
+    std::size_t workloadsLive = 0;
+    std::size_t workloadsLiveMax = 0;
 
     CampaignRun(const CampaignRunner &runner, const SimContext &ctx,
                 const std::string *cache_path)
@@ -514,8 +529,14 @@ struct CampaignRun
 
     /**
      * Stage 3: one shared state per distinct workload, pairs in grid
-     * order. The pair/cell orders fixed here define the canonical
-     * result order, independent of how workers interleave.
+     * order, and every layout position of every pair the cache does
+     * not fully cover as a cell. Which positions the cache covers is
+     * known only once the workload's layouts are built, so a covered
+     * one is skipped when its cell runs. The pair/cell orders fixed
+     * here define the canonical result order, independent of how
+     * workers interleave; the grid walk is label-major, so a
+     * workload's cells are contiguous and it lives only while they
+     * run.
      */
     void
     scheduleGrid()
@@ -535,22 +556,26 @@ struct CampaignRun
             auto [state_it, inserted] =
                 state_index.try_emplace(grid_pair.label, states.size());
             if (inserted)
-                states.push_back({grid_pair.label, nullptr, nullptr, {},
-                                  nullptr, 0, {}});
-            pairs.push_back({state_it->second, grid_pair.platform, done, 0});
+                states.emplace_back().label = grid_pair.label;
+            states[state_it->second].cellsRemaining += cellsPerPair;
+            for (std::size_t li = 0; li < cellsPerPair; ++li)
+                cells.push_back({pairs.size(), li, {}, {}});
+            pairs.push_back(
+                {state_it->second, grid_pair.platform, done, cellsPerPair});
         }
     }
 
     /**
-     * Stage 4: prepare every input the cells share. The interference
-     * partner comes first: its trace and baseline layout are inputs to
-     * *every* cell, so a co-workload that cannot be built fails the
-     * campaign as a whole (one structured Config/Io failure), not cell
-     * by cell. Then each workload's factory, trace, layouts and sample
-     * plan, in parallel, each worker publishing into a private shard.
+     * Stage 4: simulate every cell over the worker pool, then merge
+     * the worker shards. The interference partner comes first: its
+     * trace and baseline layout are inputs to *every* cell, so a
+     * co-workload that cannot be built fails the campaign as a whole
+     * (one structured Config/Io failure), not cell by cell. Each
+     * worker owns its machine and metrics shard; a workload's trace
+     * and layouts are shared immutable once prepared.
      */
     bool
-    prepareWorkloads()
+    executeCells()
     {
         if (!config.coWorkload.empty()) {
             std::size_t co_retries = 0;
@@ -564,21 +589,34 @@ struct CampaignRun
             coTenant = std::move(prepared).okOrThrow();
         }
         watch.restart();
-        prepShards = std::vector<MetricsRegistry>(std::min<unsigned>(
-            jobs, std::max<std::size_t>(states.size(), 1)));
+        cellShards = std::vector<MetricsRegistry>(std::min<unsigned>(
+            jobs, std::max<std::size_t>(cells.size(), 1)));
         std::atomic<std::size_t> next{0};
-        runPool(prepShards.size(), [&](unsigned worker) {
-            SimContext worker_context(prepShards[worker], context.faults(),
-                                      config.seed, worker);
-            for (std::size_t i = next++; i < states.size(); i = next++)
-                prepareWorkload(states[i], worker_context);
+        runPool(cellShards.size(), [&](unsigned worker) {
+            MetricsRegistry &shard = cellShards[worker];
+            SimContext worker_context(shard, context.faults(), config.seed,
+                                      worker);
+            for (std::size_t i = next++; i < cells.size(); i = next++)
+                commitCell(i, runCell(cells[i], worker_context), shard);
         });
+        mergeShards();
         return true;
     }
 
+    /**
+     * Prepare a workload's factory, trace, layouts and sample plan,
+     * publishing into the preparing worker's shard. Runs once per
+     * workload, on the first worker to take one of its cells; the
+     * others wait for it.
+     */
     void
     prepareWorkload(WorkloadState &state, const SimContext &ctx)
     {
+        {
+            std::lock_guard<std::mutex> lock(progressMutex);
+            state.live = true;
+            workloadsLiveMax = std::max(workloadsLiveMax, ++workloadsLive);
+        }
         auto made = makeConfiguredWorkload(config, state.label);
         if (!made.ok()) {
             state.error = made.error();
@@ -612,95 +650,58 @@ struct CampaignRun
         }
     }
 
-    /**
-     * Stage 5: simulate every open cell over the worker pool, then
-     * merge the worker shards. Each worker owns its machine and metrics
-     * shard; the trace and layouts are shared immutable.
-     */
-    void
-    executeCells()
-    {
-        listCells();
-        // Prep-failed pairs have no cells to wait for: account for
-        // them up front, on the same checkpoint cadence a completed
-        // pair would advance.
-        for (const auto &pair : pairs) {
-            if (states[pair.state].error) {
-                ++pairsDone;
-                if (checkpointDue())
-                    checkpoint(context.metrics());
-            }
-        }
-        cellShards = std::vector<MetricsRegistry>(std::min<unsigned>(
-            jobs, std::max<std::size_t>(cells.size(), 1)));
-        std::atomic<std::size_t> next{0};
-        runPool(cellShards.size(), [&](unsigned worker) {
-            MetricsRegistry &shard = cellShards[worker];
-            SimContext worker_context(shard, context.faults(), config.seed,
-                                      worker);
-            for (std::size_t i = next++; i < cells.size(); i = next++)
-                commitCell(i, runCell(cells[i], worker_context), shard);
-        });
-        mergeShards();
-    }
-
-    /**
-     * The cell list in canonical order: pairs in grid order, layouts
-     * in the order buildCampaignLayouts returns them. The pairs this
-     * run resolves are the ones with open cells plus the ones whose
-     * prep failed — a failed pair still flushes progress, so a later
-     * crash resumes from the freshest state.
-     */
-    void
-    listCells()
-    {
-        for (std::size_t p = 0; p < pairs.size(); ++p) {
-            PairTask &pair = pairs[p];
-            const WorkloadState &state = states[pair.state];
-            for (std::size_t li = 0;
-                 !state.error && li < state.layouts.size(); ++li) {
-                if (!(pair.done &&
-                      pair.done->count(state.layouts[li].name))) {
-                    cells.push_back({p, li, {}, {}});
-                    ++pair.cellsRemaining;
-                }
-            }
-            if (state.error || pair.cellsRemaining > 0)
-                ++totalPairs;
-        }
-    }
-
     Cell
     runCell(Cell cell, const SimContext &worker_context)
     {
         const PairTask &pair = pairs[cell.pair];
-        const WorkloadState &state = states[pair.state];
-        const auto &named = state.layouts[cell.layout];
+        WorkloadState &state = states[pair.state];
         MetricsRegistry &shard = worker_context.metrics();
+        // A failure is named by its layout at assembly, which knows
+        // the names even of a workload this cell never prepared.
         auto fail = [&](Error error) {
             shard.add("campaign/cells_failed");
             cell.failure = CellFailure{pair.platform->name, state.label,
-                                       named.name, std::move(error)};
+                                       "*", std::move(error)};
             return std::move(cell);
         };
+        auto timed_out = [&](const std::string &why) {
+            shard.add("campaign/cells_timed_out");
+            return fail(timeoutError(why));
+        };
+
+        // Once the caller's own deadline has passed, no further cell
+        // prepares a workload or builds a machine.
+        auto deadline_passed = [&] {
+            return context.hasDeadline() &&
+                   std::chrono::steady_clock::now() >= context.deadline();
+        };
+        if (deadline_passed())
+            return timed_out("deadline passed before the cell started");
+        std::call_once(state.once,
+                       [&] { prepareWorkload(state, worker_context); });
+        // A workload that could not be prepared is one pair-level
+        // failure, reported at assembly; a covered layout keeps its
+        // cached row.
+        if (state.error)
+            return cell;
+        const auto &named = state.layouts[cell.layout];
+        if (pair.done && pair.done->count(named.name))
+            return cell;
+        if (deadline_passed())
+            return timed_out("deadline passed while the workload was "
+                             "prepared");
 
         // The cell's deadline is the earlier of the caller's and the
         // watchdog budget. The replay loops check it per chunk, so an
-        // expired deadline surfaces as TimeoutError; once the caller's
-        // own deadline has passed, no further cell builds a machine.
-        const auto now = std::chrono::steady_clock::now();
+        // expired deadline surfaces as TimeoutError.
         auto deadline = context.deadline();
-        if (context.hasDeadline() && now >= deadline) {
-            shard.add("campaign/cells_timed_out");
-            return fail(timeoutError("deadline passed before the cell "
-                                     "started"));
-        }
         if (config.cellTimeoutSeconds > 0.0) {
             deadline = std::min(
-                deadline, now + std::chrono::duration_cast<
-                                    std::chrono::steady_clock::duration>(
-                                    std::chrono::duration<double>(
-                                        config.cellTimeoutSeconds)));
+                deadline, std::chrono::steady_clock::now() +
+                              std::chrono::duration_cast<
+                                  std::chrono::steady_clock::duration>(
+                                  std::chrono::duration<double>(
+                                      config.cellTimeoutSeconds)));
         }
 
         ScopedTimer cell_timer(shard, "campaign/cell");
@@ -723,8 +724,7 @@ struct CampaignRun
         } catch (const TimeoutError &e) {
             // The watchdog fired: a hung cell is an isolated Timeout
             // failure, not a wedged worker.
-            shard.add("campaign/cells_timed_out");
-            return fail(timeoutError(e.what()));
+            return timed_out(e.what());
         } catch (const std::exception &e) {
             // One bad cell must not take down the pair: record it and
             // keep simulating the remaining layouts.
@@ -732,8 +732,9 @@ struct CampaignRun
         }
     }
 
-    /** Commit one cell under the progress mutex: slot write, pair
-     *  accounting, heartbeat composition, checkpoint cadence. */
+    /** Commit one cell under the progress mutex: slot write, workload
+     *  lifetime, pair accounting, heartbeat composition, checkpoint
+     *  cadence. */
     void
     commitCell(std::size_t index, Cell done, MetricsRegistry &shard)
     {
@@ -743,6 +744,14 @@ struct CampaignRun
             cells[index] = std::move(done);
             ++cellsDone;
             PairTask &pair = pairs[cells[index].pair];
+            WorkloadState &state = states[pair.state];
+            if (--state.cellsRemaining == 0 && state.live) {
+                // No cell of the workload is left to read them.
+                state.trace.reset();
+                state.plan.reset();
+                state.live = false;
+                --workloadsLive;
+            }
             if (--pair.cellsRemaining == 0) {
                 ++pairsDone;
                 if (config.verbose) {
@@ -758,9 +767,9 @@ struct CampaignRun
                     std::snprintf(pace, sizeof pace,
                                   "%.2f cells/sec, ETA %.0fs", rate, eta);
                     heartbeat = detail::concat(
-                        "campaign: ", pairsDone, "/", totalPairs,
+                        "campaign: ", pairsDone, "/", pairs.size(),
                         " pairs done (", pair.platform->name, " ",
-                        states[pair.state].label, ") — ", pace);
+                        state.label, ") — ", pace);
                 }
                 if (checkpointDue())
                     checkpoint(shard);
@@ -780,7 +789,7 @@ struct CampaignRun
     {
         if (!cachePath || config.checkpointEvery == 0 ||
             ++sinceCheckpoint < config.checkpointEvery ||
-            pairsDone >= totalPairs)
+            pairsDone >= pairs.size())
             return false;
         sinceCheckpoint = 0;
         return true;
@@ -789,11 +798,10 @@ struct CampaignRun
     /**
      * Flush the completed cells to the cache path, publishing into
      * @p registry (the calling worker's shard). Called under the
-     * progress mutex, or before the pool starts. Checkpoint loss is
-     * survivable (the final save still happens): warn and continue.
-     * The snapshot walks the cells in canonical order, so even a
-     * mid-run checkpoint CSV is deterministic given the same set of
-     * completed cells.
+     * progress mutex. Checkpoint loss is survivable (the final save
+     * still happens): warn and continue. The snapshot walks the cells
+     * in canonical order, so even a mid-run checkpoint CSV is
+     * deterministic given the same set of completed cells.
      */
     void
     checkpoint(MetricsRegistry &registry)
@@ -825,8 +833,6 @@ struct CampaignRun
     mergeShards()
     {
         MetricsRegistry &registry = context.metrics();
-        for (const auto &shard : prepShards)
-            registry.mergeFrom(shard);
         for (unsigned worker = 0; worker < cellShards.size(); ++worker) {
             registry.mergeFrom(cellShards[worker]);
             // Per-worker phase breakdown for the run manifest: how much
@@ -838,6 +844,10 @@ struct CampaignRun
         registry.set("campaign/jobs",
                      static_cast<double>(cellShards.size()));
         registry.set("campaign/sampled", sampled ? 1.0 : 0.0);
+        // The most workloads holding a trace at once: at most jobs,
+        // however long the grid.
+        registry.set("campaign/workloads_live_max",
+                     static_cast<double>(workloadsLiveMax));
         std::size_t trace_retries = 0;
         for (const auto &state : states)
             trace_retries += state.retries;
@@ -847,7 +857,7 @@ struct CampaignRun
     }
 
     /**
-     * Stage 6: assemble the dataset pair by pair, each pair's rows in
+     * Stage 5: assemble the dataset pair by pair, each pair's rows in
      * canonical layout order with resumed cells spliced back into
      * their positions — so a resumed run's CSV is byte-identical to an
      * uninterrupted one — then save it. The emitted set guards against
@@ -868,13 +878,18 @@ struct CampaignRun
                 added += fresh ? 1 : 0;
             }
         };
+        auto emitCached = [&](const std::string &platform,
+                              const std::string &label) {
+            if (resumeData && resumeData->has(platform, label)) {
+                for (const auto &record : resumeData->runs(platform, label))
+                    emit(record, false);
+            }
+        };
 
         // Pairs the cache fully covered, in cached row order
         // (canonical whenever this engine wrote the cache).
-        for (const auto &[platform, label] : coveredPairs) {
-            for (const auto &record : resumeData->runs(platform, label))
-                emit(record, false);
-        }
+        for (const auto &[platform, label] : coveredPairs)
+            emitCached(platform, label);
 
         // Scheduled pairs, in grid order. cells was built pair-major
         // with ascending layout indices, so a single cursor walks it in
@@ -886,28 +901,34 @@ struct CampaignRun
             if (state.error) {
                 // Prep failed: keep whatever the cache held for the
                 // pair and report one pair-level failure.
-                if (resumeData && resumeData->has(platform, state.label)) {
-                    for (const auto &record :
-                         resumeData->runs(platform, state.label))
-                        emit(record, false);
-                }
+                emitCached(platform, state.label);
                 report.failures.push_back(
                     {platform, state.label, "*", *state.error});
+                cursor += cellsPerPair;
                 continue;
             }
-            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-                const auto &named = state.layouts[li];
+            if (state.layouts.empty()) {
+                // The caller's deadline stopped every cell before the
+                // workload was prepared, so no layout has a name: the
+                // cached rows stay, and each cell fails as "*".
+                emitCached(platform, state.label);
+                for (std::size_t li = 0; li < cellsPerPair; ++li)
+                    report.failures.push_back(
+                        std::move(*cells[cursor++].failure));
+                continue;
+            }
+            for (const auto &named : state.layouts) {
+                Cell &cell = cells[cursor++];
                 if (pair.done && pair.done->count(named.name)) {
                     emit(resumedBase.findRun(platform, state.label,
                                              named.name),
                          false);
-                    continue;
-                }
-                Cell &cell = cells[cursor++];
-                if (cell.record)
+                } else if (cell.record) {
                     emit(*cell.record, true);
-                else if (cell.failure)
+                } else if (cell.failure) {
+                    cell.failure->layout = named.name;
                     report.failures.push_back(std::move(*cell.failure));
+                }
             }
         }
         report.cellsCompleted += added;
@@ -1012,9 +1033,8 @@ CampaignRunner::runImpl(const std::string *cache_path)
         return std::move(run.report);
     run.indexResumeCache();
     run.scheduleGrid();
-    if (!run.prepareWorkloads())
+    if (!run.executeCells())
         return std::move(run.report);
-    run.executeCells();
     run.assembleAndSave();
     return std::move(run.report);
 }

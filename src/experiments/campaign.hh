@@ -3,15 +3,17 @@
  * The measurement campaign of Section VI: run every workload on every
  * platform under the 54 exploration layouts plus the all-1GB reference.
  *
- * Traces and layouts are prepared once per workload (they are
- * platform- and layout-independent), then every (platform, workload,
- * layout) cell is simulated by a work-queue scheduler over `jobs`
- * worker threads. Each worker owns a private metrics shard and a
- * SimContext, so the replay hot path never contends on the caller's
- * registry; shards merge into it — in worker order — when the pool
- * joins. Results land in canonically ordered slots, so the dataset
- * (and the saved CSV) is byte-identical for any worker count. A CSV
- * cache makes the campaign a run-once-per-checkout cost.
+ * Every (platform, workload, layout) cell is simulated by a work-queue
+ * scheduler over `jobs` worker threads. A workload's trace and layouts
+ * (platform- and layout-independent) are prepared once, when its first
+ * cell is due, and its trace is dropped when its last cell commits, so
+ * at most `jobs` workloads are resident however long the grid. Each
+ * worker owns a private metrics shard and a SimContext, so the replay
+ * hot path never contends on the caller's registry; shards merge into
+ * it — in worker order — when the pool joins. Results land in
+ * canonically ordered slots, so the dataset (and the saved CSV) is
+ * byte-identical for any worker count. A CSV cache makes the campaign
+ * a run-once-per-checkout cost.
  *
  * The campaign is fault-tolerant at (platform, workload, layout) cell
  * granularity: a failing cell records a structured error and the
@@ -151,7 +153,9 @@ struct CellFailure
     std::string platform;
     std::string workload;
 
-    /** Layout name, or "*" when the whole pair failed (trace, config). */
+    /** Layout name, or "*" when the whole pair failed (trace, config)
+     *  or the caller's deadline passed before the workload's layouts
+     *  were built. */
     std::string layout;
 
     Error error;

@@ -136,26 +136,6 @@ MosaicLayout::hugeCoverage() const
     return static_cast<double>(huge) / static_cast<double>(poolSize_);
 }
 
-std::vector<std::pair<Bytes, PageSize>>
-MosaicLayout::enumeratePages() const
-{
-    std::vector<std::pair<Bytes, PageSize>> pages;
-    auto emit4k = [&](Bytes from, Bytes to) {
-        for (Bytes off = from; off < to; off += 4_KiB)
-            pages.emplace_back(off, PageSize::Page4K);
-    };
-    Bytes cursor = 0;
-    for (const auto &region : regions_) {
-        emit4k(cursor, region.start);
-        Bytes page = pageBytes(region.pageSize);
-        for (Bytes off = region.start; off < region.end(); off += page)
-            pages.emplace_back(off, region.pageSize);
-        cursor = region.end();
-    }
-    emit4k(cursor, poolSize_);
-    return pages;
-}
-
 std::string
 MosaicLayout::toConfigString() const
 {

@@ -91,10 +91,26 @@ class MosaicLayout
     double hugeCoverage() const;
 
     /**
-     * Enumerate every page in the pool as (offset, size) pairs, in
-     * ascending offset order. Used to construct page tables.
+     * Call @p visit(offset, size) for every page in the pool, in
+     * ascending offset order: 4KB pages between the regions, each
+     * region's hugepages over it. Used to construct page tables
+     * without materializing a per-page list.
      */
-    std::vector<std::pair<Bytes, PageSize>> enumeratePages() const;
+    template <typename Visit>
+    void
+    forEachPage(Visit &&visit) const
+    {
+        Bytes cursor = 0;
+        for (const auto &region : regions_) {
+            for (; cursor < region.start; cursor += 4_KiB)
+                visit(cursor, PageSize::Page4K);
+            const Bytes page = pageBytes(region.pageSize);
+            for (; cursor < region.end(); cursor += page)
+                visit(cursor, region.pageSize);
+        }
+        for (; cursor < poolSize_; cursor += 4_KiB)
+            visit(cursor, PageSize::Page4K);
+    }
 
     /** Serialize to the environment-variable string format. */
     std::string toConfigString() const;

@@ -301,20 +301,6 @@ Mosalloc::owns(VirtAddr addr) const
            file_->contains(addr);
 }
 
-std::vector<PageMapping>
-Mosalloc::pageMappings() const
-{
-    std::vector<PageMapping> mappings;
-    auto add_pool = [&](const Pool &pool) {
-        for (const auto &[offset, size] : pool.layout().enumeratePages())
-            mappings.push_back(PageMapping{pool.base() + offset, size});
-    };
-    add_pool(*heap_);
-    add_pool(*anon_);
-    add_pool(*file_);
-    return mappings;
-}
-
 MosallocStats
 Mosalloc::stats() const
 {

@@ -171,10 +171,24 @@ class Mosalloc
     bool owns(VirtAddr addr) const;
 
     /**
-     * All pages of all pools, for page-table construction.
-     * Heap/anon pools use their mosaics; the file pool is 4KB.
+     * Call @p visit(mapping) for every page of every pool, for
+     * page-table construction: heap, then anon, then file, each in
+     * ascending address order. Heap/anon pools use their mosaics; the
+     * file pool is 4KB.
      */
-    std::vector<PageMapping> pageMappings() const;
+    template <typename Visit>
+    void
+    forEachPageMapping(Visit &&visit) const
+    {
+        auto visit_pool = [&](const Pool &pool) {
+            pool.layout().forEachPage([&](Bytes offset, PageSize size) {
+                visit(PageMapping{pool.base() + offset, size});
+            });
+        };
+        visit_pool(*heap_);
+        visit_pool(*anon_);
+        visit_pool(*file_);
+    }
 
     /** Snapshot of allocation statistics. */
     MosallocStats stats() const;

@@ -69,7 +69,7 @@ FramePool::addTenantPages(TenantId tenant_id,
     mosaic_assert(tenant_id < tenants_.size(), "unknown tenant ",
                   tenant_id);
     Tenant &tenant = tenants_[tenant_id];
-    for (const auto &mapping : allocator.pageMappings()) {
+    allocator.forEachPageMapping([&](const alloc::PageMapping &mapping) {
         if (alloc::pageBytes(mapping.pageSize) > budgetBytes())
             throw ResourceError(
                 "frame pool of " + std::to_string(os_.memFrames) +
@@ -83,7 +83,7 @@ FramePool::addTenantPages(TenantId tenant_id,
         pages_.push_back(page);
         tenant.pagesByVaddr.push_back(
             static_cast<std::uint32_t>(pages_.size() - 1));
-    }
+    });
     std::sort(tenant.pagesByVaddr.begin(), tenant.pagesByVaddr.end(),
               [this](std::uint32_t a, std::uint32_t b) {
                   return pages_[a].vbase < pages_[b].vbase;

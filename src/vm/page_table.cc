@@ -88,10 +88,35 @@ PageTable::unmap(VirtAddr vbase, alloc::PageSize size)
 void
 PageTable::populate(const alloc::Mosalloc &allocator)
 {
-    for (const auto &mapping : allocator.pageMappings()) {
+    // Counting pass: a page needs a node at every level down to its
+    // leaf's, and the node at level l is selected by the address bits
+    // above levelShift(l - 1). The walk ascends, so each change of
+    // such a prefix is one node map() will create (for any order, and
+    // over a table that already has nodes, an upper bound).
+    std::array<VirtAddr, numPtLevels> prefix;
+    prefix.fill(~VirtAddr(0));
+    std::size_t fresh = 0;
+    allocator.forEachPageMapping([&](const alloc::PageMapping &mapping) {
+        const auto leaf = static_cast<unsigned>(leafLevel(mapping.pageSize));
+        for (unsigned l = 1; l <= leaf; ++l) {
+            const VirtAddr above =
+                mapping.virtBase >> levelShift(static_cast<PtLevel>(l - 1));
+            if (above != prefix[l]) {
+                prefix[l] = above;
+                ++fresh;
+            }
+        }
+    });
+    nodes_.reserve(nodes_.size() + fresh);
+    const std::size_t reserved = nodes_.capacity();
+
+    allocator.forEachPageMapping([&](const alloc::PageMapping &mapping) {
         PhysAddr frame = framePool_.allocDataFrame(mapping.pageSize);
         map(mapping.virtBase, mapping.pageSize, frame);
-    }
+    });
+    mosaic_assert(nodes_.capacity() == reserved,
+                  "populate outgrew its reservation of ", reserved,
+                  " nodes");
 }
 
 Translation

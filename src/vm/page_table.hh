@@ -113,7 +113,9 @@ class PageTable
 
     /**
      * Populate the table from a Mosalloc instance: allocates a data
-     * frame for every page of every pool and maps it.
+     * frame for every page of every pool and maps it. The pages are
+     * walked twice, first to count the nodes the table will need and
+     * reserve them, so the node array never reallocates here.
      */
     void populate(const alloc::Mosalloc &allocator);
 

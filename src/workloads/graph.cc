@@ -21,57 +21,38 @@ SyntheticGraph::SyntheticGraph(const GraphParams &params)
     ++graphsBuilt;
     const std::uint64_t v = params_.numVertices;
     mosaic_assert(v >= 16, "graph too small");
-    degrees_.resize(v);
-    offsets_.resize(v + 1);
 
-    Rng rng(params_.seed);
-    switch (params_.kind) {
-      case GraphKind::Road: {
-        // Near-square grid; interior vertices have degree 4.
+    if (params_.kind == GraphKind::Road) {
+        // Near-square grid; interior vertices have degree 4. Offsets
+        // are a closed form over the width, so nothing is stored.
         gridWidth_ = static_cast<std::uint64_t>(std::sqrt(
             static_cast<double>(v)));
-        for (std::uint64_t u = 0; u < v; ++u) {
-            std::uint32_t deg = 0;
-            if (u >= gridWidth_)
-                ++deg; // up
-            if (u + gridWidth_ < v)
-                ++deg; // down
-            if (u % gridWidth_ != 0)
-                ++deg; // left
-            if ((u + 1) % gridWidth_ != 0 && u + 1 < v)
-                ++deg; // right
-            degrees_[u] = deg;
-        }
-        break;
-      }
-      case GraphKind::Twitter:
-      case GraphKind::Web: {
-        const double max_degree =
-            std::min<double>(static_cast<double>(v) / 4.0, 65536.0);
-        double scale_acc = 0.0;
-        for (std::uint64_t u = 0; u < v; ++u) {
-            double d = rng.nextBoundedPareto(params_.degreeAlpha, 1.0,
-                                             max_degree);
-            degrees_[u] = static_cast<std::uint32_t>(d);
-            scale_acc += d;
-        }
-        // Rescale to hit the requested average degree (the bounded
-        // Pareto mean depends on alpha).
-        double factor = params_.avgDegree * static_cast<double>(v) /
-                        scale_acc;
-        for (std::uint64_t u = 0; u < v; ++u) {
-            auto scaled = static_cast<std::uint32_t>(
-                std::max(1.0, std::floor(degrees_[u] * factor)));
-            degrees_[u] = scaled;
-        }
-        break;
-      }
+        numEdges_ = roadOffset(v);
+        return;
     }
 
+    // Power-law kinds: each vertex's drawn degree is parked in its
+    // offsets_ slot, then the slots turn into prefix sums in place.
+    offsets_.resize(v + 1);
+    Rng rng(params_.seed);
+    const double max_degree =
+        std::min<double>(static_cast<double>(v) / 4.0, 65536.0);
+    double scale_acc = 0.0;
+    for (std::uint64_t u = 0; u < v; ++u) {
+        double d =
+            rng.nextBoundedPareto(params_.degreeAlpha, 1.0, max_degree);
+        offsets_[u] = static_cast<std::uint32_t>(d);
+        scale_acc += d;
+    }
+    // Rescale to hit the requested average degree (the bounded Pareto
+    // mean depends on alpha).
+    double factor = params_.avgDegree * static_cast<double>(v) / scale_acc;
     std::uint64_t acc = 0;
     for (std::uint64_t u = 0; u < v; ++u) {
+        auto scaled = static_cast<std::uint32_t>(std::max(
+            1.0, std::floor(static_cast<double>(offsets_[u]) * factor)));
         offsets_[u] = acc;
-        acc += degrees_[u];
+        acc += scaled;
     }
     offsets_[v] = acc;
     numEdges_ = acc;

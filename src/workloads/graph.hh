@@ -9,15 +9,20 @@
  *    source vertex;
  *  - "road": bounded-degree grid — high diameter, strong locality.
  *
- * Vertex degrees are materialized; edge endpoints are *derived*
- * deterministically from (seed, u, i) so multi-million-edge graphs need
- * no edge storage. The CSR layout (offsets + adjacency array) is still
- * laid out in simulated memory so traversals touch realistic addresses.
+ * At most one per-vertex array is held host-side: the power-law kinds
+ * keep their CSR offsets (the prefix sums of their drawn degrees), and
+ * the road grid keeps none, because its offsets are a closed form over
+ * the grid width. A degree is always the difference of two offsets.
+ * Edge endpoints are *derived* deterministically from (seed, u, i), so
+ * multi-million-edge graphs need no edge storage. The CSR layout
+ * (offsets + adjacency array) is still laid out in simulated memory so
+ * traversals touch realistic addresses.
  */
 
 #ifndef MOSAIC_WORKLOADS_GRAPH_HH
 #define MOSAIC_WORKLOADS_GRAPH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -51,7 +56,7 @@ struct GraphParams
 };
 
 /**
- * Degree-materialized synthetic graph with derived endpoints.
+ * Offsets-only synthetic graph with derived endpoints.
  */
 class SyntheticGraph
 {
@@ -66,14 +71,14 @@ class SyntheticGraph
     std::uint32_t
     degree(std::uint64_t u) const
     {
-        return degrees_[u];
+        return static_cast<std::uint32_t>(offset(u + 1) - offset(u));
     }
 
-    /** CSR offset of vertex @p u's adjacency run. */
+    /** CSR offset of vertex @p u's adjacency run, for u in [0, V]. */
     std::uint64_t
     offset(std::uint64_t u) const
     {
-        return offsets_[u];
+        return gridWidth_ ? roadOffset(u) : offsets_[u];
     }
 
     /**
@@ -101,11 +106,32 @@ class SyntheticGraph
     static std::uint64_t built();
 
   private:
+    /**
+     * The road grid's offset of @p u: the edges of the vertices below
+     * it, counted per direction. Of the vertices x < u, those at
+     * x >= w have an up neighbour, those at x < V - w a down one, those
+     * off the left column a left one, and those off the right column
+     * and short of the last vertex a right one.
+     */
+    std::uint64_t
+    roadOffset(std::uint64_t u) const
+    {
+        const std::uint64_t v = params_.numVertices;
+        const std::uint64_t w = gridWidth_;
+        const std::uint64_t rows = u / w; // multiples of w in [1, u]
+        const std::uint64_t starts = rows + (u % w != 0); // in [0, u)
+        const std::uint64_t up = u > w ? u - w : 0;
+        const std::uint64_t down = std::min(u, v - w);
+        const std::uint64_t left = u - starts;
+        const std::uint64_t right =
+            u - rows - (u == v && v % w != 0 ? 1 : 0);
+        return up + down + left + right;
+    }
+
     GraphParams params_;
-    std::vector<std::uint32_t> degrees_;
-    std::vector<std::uint64_t> offsets_; ///< prefix sums, V+1 entries
+    std::vector<std::uint64_t> offsets_; ///< power-law kinds, V+1 entries
     std::uint64_t numEdges_ = 0;
-    std::uint64_t gridWidth_ = 0; ///< road graphs
+    std::uint64_t gridWidth_ = 0; ///< road graphs; 0 for the others
 };
 
 /**

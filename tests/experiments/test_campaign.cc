@@ -9,6 +9,7 @@
 #include <cctype>
 #include <chrono>
 #include <memory>
+#include <thread>
 
 #include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
@@ -124,7 +125,8 @@ TEST(Campaign, RunnerThreadsProduceSameDatasetAsSerial)
 TEST(Campaign, CallerDeadlineFailsEveryCellWithoutReplaying)
 {
     // A deadline that passed before the run: every cell is a Timeout
-    // failure, and none of them builds a machine or replays a record.
+    // failure, and none of them prepares the workload, builds a
+    // machine or replays a record.
     MetricsRegistry shard;
     SimContext context =
         SimContext(shard, faults())
@@ -137,6 +139,46 @@ TEST(Campaign, CallerDeadlineFailsEveryCellWithoutReplaying)
     for (const auto &failure : report.failures)
         EXPECT_EQ(failure.error.category(), ErrorCategory::Timeout);
     EXPECT_EQ(report.cellsCompleted, 0u);
+    EXPECT_EQ(shard.counter("campaign/cells_timed_out"), 55u);
+    EXPECT_EQ(shard.phase("campaign/cell").count, 0u);
+    EXPECT_EQ(shard.counter("replay/records"), 0u);
+    EXPECT_EQ(shard.phase("campaign/trace").count, 0u);
+}
+
+TEST(Campaign, DeadlinePassingDuringPreparationBuildsNoMachine)
+{
+    // The deadline passes while the workload's trace is generated:
+    // the workload is prepared once, and then every cell is a Timeout
+    // failure named by its layout, without building a machine.
+    struct SlowWorkload : test::TinyWorkload
+    {
+        std::chrono::steady_clock::time_point until;
+
+        trace::MemoryTrace
+        generateTrace() const override
+        {
+            std::this_thread::sleep_until(until);
+            return TinyWorkload::generateTrace();
+        }
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
+    config.workloadFactory = [deadline](const std::string &) {
+        auto workload = std::make_unique<SlowWorkload>();
+        workload->until = deadline + std::chrono::milliseconds(10);
+        return workload;
+    };
+    config.jobs = 2;
+    MetricsRegistry shard;
+    SimContext context = SimContext(shard, faults()).withDeadline(deadline);
+    CampaignReport report = CampaignRunner(config, context).runReport();
+    ASSERT_EQ(report.failures.size(), 55u);
+    EXPECT_EQ(report.failures.front().layout, "grow-0");
+    EXPECT_EQ(report.failures.back().layout, layoutAll1g);
+    for (const auto &failure : report.failures)
+        EXPECT_EQ(failure.error.category(), ErrorCategory::Timeout);
+    EXPECT_EQ(shard.phase("campaign/trace").count, 1u);
     EXPECT_EQ(shard.counter("campaign/cells_timed_out"), 55u);
     EXPECT_EQ(shard.phase("campaign/cell").count, 0u);
     EXPECT_EQ(shard.counter("replay/records"), 0u);

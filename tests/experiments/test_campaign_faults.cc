@@ -181,19 +181,19 @@ TEST_F(CampaignFaultTest, SimLaneFaultFailsOneCellOthersMatchCleanRun)
 }
 
 /**
- * The end-to-end drill from the issue: a campaign with an injected
- * fault completes, reports the failed cells in its summary, and a
- * rerun resumes from the partial CSV without recomputing covered
- * cells. Uses the real registry workload "gups/8GB" (the cheapest one)
- * because the threaded runner resolves workloads by label.
+ * The end-to-end drill: a campaign with an injected fault completes,
+ * reports the failed cells in its summary, and a rerun resumes from
+ * the partial CSV without recomputing covered cells. The bad label
+ * fails in the workload factory, which builds only TinyWorkload.
  */
 TEST_F(CampaignFaultTest, FaultyCampaignCompletesReportsAndResumes)
 {
     std::string cache = scratch_.file("resume.csv");
 
     CampaignConfig config = faultConfig();
-    config.workloads = {"gups/8GB", "bogus/does-not-exist"};
+    config.workloads = {"test/tiny", "bogus/does-not-exist"};
     config.platforms = {cpu::sandyBridge()};
+    config.workloadFactory = test::tinyFactory;
     config.jobs = 2;
     config.checkpointEvery = 1;
     CampaignRunner runner(config);
@@ -212,7 +212,7 @@ TEST_F(CampaignFaultTest, FaultyCampaignCompletesReportsAndResumes)
     EXPECT_NE(first.summary().find("FAILED"), std::string::npos);
     EXPECT_NE(first.summary().find("bogus/does-not-exist"),
               std::string::npos);
-    ASSERT_EQ(first.dataset.runs("SandyBridge", "gups/8GB").size(), 55u);
+    ASSERT_EQ(first.dataset.runs("SandyBridge", "test/tiny").size(), 55u);
 
     // Phase B: a rerun resumes every completed cell from the CSV and
     // simulates nothing new; only the bad workload fails again.
@@ -226,7 +226,7 @@ TEST_F(CampaignFaultTest, FaultyCampaignCompletesReportsAndResumes)
     // Phase C: drop 5 cells from the cache (an interrupted run's
     // partial CSV); the resume recomputes exactly those 5, and the
     // recomputed values match the original run bit-for-bit.
-    const auto &complete = first.dataset.runs("SandyBridge", "gups/8GB");
+    const auto &complete = first.dataset.runs("SandyBridge", "test/tiny");
     Dataset partial;
     std::vector<std::string> dropped;
     for (std::size_t i = 0; i < complete.size(); ++i) {
@@ -238,7 +238,7 @@ TEST_F(CampaignFaultTest, FaultyCampaignCompletesReportsAndResumes)
     partial.save(cache);
 
     CampaignConfig good_only = config;
-    good_only.workloads = {"gups/8GB"};
+    good_only.workloads = {"test/tiny"};
     CampaignRunner resumer(good_only);
     CampaignReport third = resumer.runReport(cache);
     EXPECT_TRUE(third.allOk());
@@ -246,9 +246,9 @@ TEST_F(CampaignFaultTest, FaultyCampaignCompletesReportsAndResumes)
     EXPECT_EQ(third.cellsCompleted, 5u);
     EXPECT_EQ(third.dataset.totalRuns(), 55u);
     for (const auto &layout : dropped) {
-        EXPECT_EQ(third.dataset.findRun("SandyBridge", "gups/8GB", layout)
+        EXPECT_EQ(third.dataset.findRun("SandyBridge", "test/tiny", layout)
                       .result.runtimeCycles,
-                  first.dataset.findRun("SandyBridge", "gups/8GB", layout)
+                  first.dataset.findRun("SandyBridge", "test/tiny", layout)
                       .result.runtimeCycles)
             << layout;
     }
@@ -271,15 +271,16 @@ TEST_F(CampaignFaultTest, ResumeAfterCheckpointNeverDuplicatesRows)
     std::string cache = scratch_.file("dedup.csv");
 
     CampaignConfig config = faultConfig();
-    config.workloads = {"gups/8GB"};
+    config.workloads = {"test/tiny"};
     config.platforms = {cpu::sandyBridge()};
+    config.workloadFactory = test::tinyFactory;
     config.jobs = 2;
     CampaignRunner runner(config);
 
     // A complete pair to damage.
     CampaignReport first = runner.runReport(cache);
     ASSERT_TRUE(first.allOk());
-    const auto &complete = first.dataset.runs("SandyBridge", "gups/8GB");
+    const auto &complete = first.dataset.runs("SandyBridge", "test/tiny");
     ASSERT_EQ(complete.size(), 55u);
 
     // Partial cache with duplicates: the first 10 cells twice over,
@@ -294,7 +295,7 @@ TEST_F(CampaignFaultTest, ResumeAfterCheckpointNeverDuplicatesRows)
 
     // Resume with the pair listed twice in the grid for good measure.
     CampaignConfig doubled = config;
-    doubled.workloads = {"gups/8GB", "gups/8GB"};
+    doubled.workloads = {"test/tiny", "test/tiny"};
     CampaignRunner resumer(doubled);
     CampaignReport second = resumer.runReport(cache);
     EXPECT_TRUE(second.allOk());
@@ -303,7 +304,7 @@ TEST_F(CampaignFaultTest, ResumeAfterCheckpointNeverDuplicatesRows)
 
     // Every key appears exactly once, in memory and in the saved CSV.
     auto assertUnique = [](const Dataset &dataset) {
-        const auto &runs = dataset.runs("SandyBridge", "gups/8GB");
+        const auto &runs = dataset.runs("SandyBridge", "test/tiny");
         EXPECT_EQ(runs.size(), 55u);
         std::set<std::string> layouts;
         for (const auto &record : runs)
@@ -329,13 +330,14 @@ TEST_F(CampaignFaultTest, LoadOrRunTreatsDuplicateRowCacheAsIncomplete)
     std::string cache = scratch_.file("loadorrun.csv");
 
     CampaignConfig config = faultConfig();
-    config.workloads = {"gups/8GB"};
+    config.workloads = {"test/tiny"};
     config.platforms = {cpu::sandyBridge()};
+    config.workloadFactory = test::tinyFactory;
     config.jobs = 2;
 
     CampaignRunner runner(config);
     Dataset complete_data = runner.loadOrRun(cache);
-    const auto &complete = complete_data.runs("SandyBridge", "gups/8GB");
+    const auto &complete = complete_data.runs("SandyBridge", "test/tiny");
     ASSERT_EQ(complete.size(), 55u);
 
     // Damaged cache: the first 11 layouts repeated five times — 55 raw
@@ -352,7 +354,7 @@ TEST_F(CampaignFaultTest, LoadOrRunTreatsDuplicateRowCacheAsIncomplete)
     // layouts, and hand back a full deduplicated pair.
     CampaignRunner resumer(config);
     Dataset repaired = resumer.loadOrRun(cache);
-    const auto &runs = repaired.runs("SandyBridge", "gups/8GB");
+    const auto &runs = repaired.runs("SandyBridge", "test/tiny");
     EXPECT_EQ(runs.size(), 55u);
     std::set<std::string> layouts;
     for (const auto &record : runs)
@@ -362,7 +364,7 @@ TEST_F(CampaignFaultTest, LoadOrRunTreatsDuplicateRowCacheAsIncomplete)
     // The resumed cells match the original simulation bit-for-bit.
     for (const auto &record : complete) {
         EXPECT_EQ(repaired
-                      .findRun("SandyBridge", "gups/8GB", record.layout)
+                      .findRun("SandyBridge", "test/tiny", record.layout)
                       .result.runtimeCycles,
                   record.result.runtimeCycles)
             << record.layout;

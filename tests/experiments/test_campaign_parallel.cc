@@ -15,7 +15,9 @@
 #include "common/scratch_dir.hh"
 #include "common/tiny_workload.hh"
 #include "experiments/campaign.hh"
+#include "support/fault_injector.hh"
 #include "support/io_util.hh"
+#include "support/sim_context.hh"
 
 using namespace mosaic;
 using namespace mosaic::exp;
@@ -29,6 +31,47 @@ slurp(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
+}
+
+/** "test/seed-N": TinyWorkload's reads, drawn from seed N. */
+class SeededWorkload : public test::TinyWorkload
+{
+  public:
+    explicit SeededWorkload(std::uint64_t seed) : seed_(seed) {}
+
+    workloads::WorkloadInfo
+    info() const override
+    {
+        return {"test", "seed-" + std::to_string(seed_)};
+    }
+
+    trace::MemoryTrace
+    generateTrace() const override
+    {
+        trace::MemoryTrace trace;
+        Rng rng(seed_);
+        VirtAddr base = alloc::PoolAddresses::heapBase;
+        for (int i = 0; i < 12000; ++i)
+            trace.add(base + alignDown(rng.nextBounded(24_MiB), 8), 2,
+                      false);
+        return trace;
+    }
+
+  private:
+    std::uint64_t seed_;
+};
+
+const std::vector<std::string> seededLabels = {
+    "test/seed-1", "test/seed-2", "test/seed-3", "test/seed-4"};
+
+std::unique_ptr<workloads::Workload>
+seededFactory(const std::string &label)
+{
+    for (std::size_t i = 0; i < seededLabels.size(); ++i) {
+        if (label == seededLabels[i])
+            return std::make_unique<SeededWorkload>(i + 1);
+    }
+    throw std::runtime_error("unknown test workload: " + label);
 }
 
 class CampaignParallelTest : public ::testing::Test
@@ -183,4 +226,33 @@ TEST_F(CampaignParallelTest, TornCsvTailResumesByteIdentical)
         EXPECT_EQ(torn.cellsResumed + torn.cellsCompleted, 3u * 55u);
         EXPECT_EQ(slurp(torn_csv), full_bytes) << "cut at " << cut;
     }
+}
+
+TEST_F(CampaignParallelTest, LiveWorkloadsAreBoundedByJobs)
+{
+    // A workload's trace is dropped when its last cell commits, so of
+    // four workloads one worker holds one at a time and two workers
+    // at most two; without the drop all four stay resident.
+    auto run = [&](unsigned jobs, const std::string &csv) {
+        CampaignConfig config = test::tinyCampaign({cpu::sandyBridge()});
+        config.workloads = seededLabels;
+        config.workloadFactory = seededFactory;
+        config.jobs = jobs;
+        MetricsRegistry registry;
+        CampaignReport report =
+            CampaignRunner(config, SimContext(registry, faults()))
+                .runReport(csv);
+        EXPECT_TRUE(report.allOk()) << report.summary();
+        EXPECT_EQ(report.cellsCompleted, 4u * 55u);
+        return registry.gauge("campaign/workloads_live_max");
+    };
+    const std::string serial_csv = scratch_.file("live1.csv");
+    const std::string wide_csv = scratch_.file("live2.csv");
+    EXPECT_EQ(run(1, serial_csv), 1.0);
+    const double wide = run(2, wide_csv);
+    EXPECT_GE(wide, 1.0);
+    EXPECT_LE(wide, 2.0);
+    const std::string serial_bytes = slurp(serial_csv);
+    ASSERT_FALSE(serial_bytes.empty());
+    EXPECT_EQ(serial_bytes, slurp(wide_csv));
 }

@@ -121,12 +121,11 @@ TEST(MosaicLayout, EnumeratePagesCoversPoolExactly)
 {
     MosaicLayout layout(8_MiB,
                         {MosaicRegion{2_MiB, 2_MiB, PageSize::Page2M}});
-    auto pages = layout.enumeratePages();
     Bytes cursor = 0;
-    for (const auto &[offset, size] : pages) {
+    layout.forEachPage([&](Bytes offset, PageSize size) {
         EXPECT_EQ(offset, cursor);
         cursor += pageBytes(size);
-    }
+    });
     EXPECT_EQ(cursor, 8_MiB);
 }
 

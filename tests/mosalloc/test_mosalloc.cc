@@ -214,17 +214,16 @@ TEST(Mosalloc, PageMappingsCoverAllPoolsWithoutOverlap)
     config.heapLayout = MosaicLayout(
         4_MiB, {MosaicRegion{0, 2_MiB, PageSize::Page2M}});
     Mosalloc allocator(config);
-    auto mappings = allocator.pageMappings();
 
     Bytes total = 0;
     std::set<VirtAddr> starts;
-    for (const auto &mapping : mappings) {
+    allocator.forEachPageMapping([&](const PageMapping &mapping) {
         EXPECT_TRUE(starts.insert(mapping.virtBase).second);
         EXPECT_EQ(mapping.virtBase %
                       pageBytes(mapping.pageSize),
                   0u);
         total += pageBytes(mapping.pageSize);
-    }
+    });
     Bytes expected = allocator.heapPool().size() +
                      allocator.anonPool().size() +
                      allocator.filePool().size();

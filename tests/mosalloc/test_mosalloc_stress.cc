@@ -118,8 +118,14 @@ TEST(MosallocStress, PageMappingsStableAcrossChurn)
         if (p != 0 && (rng.next() & 1))
             b.free(p);
     }
-    auto ma = a.pageMappings();
-    auto mb = b.pageMappings();
+    auto mappings = [](const Mosalloc &allocator) {
+        std::vector<PageMapping> out;
+        allocator.forEachPageMapping(
+            [&](const PageMapping &mapping) { out.push_back(mapping); });
+        return out;
+    };
+    auto ma = mappings(a);
+    auto mb = mappings(b);
     ASSERT_EQ(ma.size(), mb.size());
     for (std::size_t i = 0; i < ma.size(); ++i) {
         EXPECT_EQ(ma[i].virtBase, mb[i].virtBase);

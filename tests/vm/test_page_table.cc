@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mosalloc/mosalloc.hh"
 #include "vm/page_table.hh"
 #include "vm/frame_pool.hh"
@@ -176,6 +178,96 @@ TEST(PageTable, PopulateFromMosalloc)
     PhysAddr f1 = table.translate(heap).physAddr;
     PhysAddr f2 = table.translate(heap + 4_KiB).physAddr;
     EXPECT_NE(f1, f2);
+}
+
+namespace
+{
+
+/** The per-page list populate() was once built from, kept here as the
+ *  reference its visitor walk must reproduce: every page of @p layout
+ *  at @p base, in ascending order, 4KB pages filling the gaps. */
+void
+appendPages(std::vector<alloc::PageMapping> &pages, VirtAddr base,
+            const alloc::MosaicLayout &layout)
+{
+    auto emit4k = [&](Bytes from, Bytes to) {
+        for (Bytes off = from; off < to; off += 4_KiB)
+            pages.push_back({base + off, PageSize::Page4K});
+    };
+    Bytes cursor = 0;
+    for (const auto &region : layout.regions()) {
+        emit4k(cursor, region.start);
+        Bytes page = alloc::pageBytes(region.pageSize);
+        for (Bytes off = region.start; off < region.end(); off += page)
+            pages.push_back({base + off, region.pageSize});
+        cursor = region.end();
+    }
+    emit4k(cursor, layout.poolSize());
+}
+
+void
+expectSameTranslation(const Translation &a, const Translation &b,
+                      VirtAddr vaddr)
+{
+    ASSERT_EQ(a.valid, b.valid) << vaddr;
+    ASSERT_EQ(a.physAddr, b.physAddr) << vaddr;
+    ASSERT_EQ(a.pageSize, b.pageSize) << vaddr;
+    ASSERT_EQ(a.depth, b.depth) << vaddr;
+    for (unsigned l = 0; l < a.depth; ++l)
+        ASSERT_EQ(a.entryAddrs[l], b.entryAddrs[l]) << vaddr;
+}
+
+} // namespace
+
+TEST(PageTable, PopulateMatchesPerPageListOnFragmentedLayout)
+{
+    using alloc::MosaicRegion;
+    // 2MB and 1GB regions with 4KB gaps between them and 4KB tails
+    // that end off a 2MB boundary; the file pool is 4KB by design.
+    alloc::MosallocConfig config;
+    config.heapLayout = alloc::MosaicLayout(
+        2_GiB + 12_KiB,
+        {MosaicRegion{2_MiB, 4_MiB, PageSize::Page2M},
+         MosaicRegion{8_MiB, 1_GiB - 10_MiB, PageSize::Page2M},
+         MosaicRegion{1_GiB, 1_GiB, PageSize::Page1G}});
+    config.anonLayout = alloc::MosaicLayout(
+        1_GiB + 8_MiB + 20_KiB,
+        {MosaicRegion{0, 1_GiB, PageSize::Page1G},
+         MosaicRegion{1_GiB + 4_MiB, 4_MiB, PageSize::Page2M}});
+    config.filePoolSize = 1_MiB + 4_KiB;
+    alloc::Mosalloc allocator(config);
+
+    std::vector<alloc::PageMapping> pages;
+    appendPages(pages, allocator.heapPool().base(),
+                allocator.heapPool().layout());
+    appendPages(pages, allocator.anonPool().base(),
+                allocator.anonPool().layout());
+    appendPages(pages, allocator.filePool().base(),
+                allocator.filePool().layout());
+    FramePool reference_frames;
+    PageTable reference(reference_frames);
+    for (const auto &page : pages) {
+        reference.map(page.virtBase, page.pageSize,
+                      reference_frames.allocDataFrame(page.pageSize));
+    }
+
+    // populate() asserts that its counting pass reserved every node
+    // it went on to create, so an undercount throws here.
+    FramePool frames;
+    PageTable table(frames);
+    ASSERT_NO_THROW(table.populate(allocator));
+    EXPECT_EQ(table.numNodes(), reference.numNodes());
+    EXPECT_EQ(table.mappedPages(), reference.mappedPages());
+    for (const auto &page : pages) {
+        for (VirtAddr vaddr :
+             {page.virtBase,
+              page.virtBase + alloc::pageBytes(page.pageSize) - 1}) {
+            expectSameTranslation(table.translate(vaddr),
+                                  reference.translate(vaddr), vaddr);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
 }
 
 /**

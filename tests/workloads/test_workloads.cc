@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "support/io_util.hh"
 #include "trace/miss_profile.hh"
 #include "workloads/gapbs.hh"
 #include "workloads/graph500.hh"
@@ -384,6 +387,98 @@ TEST(Graph, OffsetsArePrefixSums)
         acc += graph.degree(u);
     }
     EXPECT_EQ(graph.numEdges(), acc);
+}
+
+namespace
+{
+
+/** The road grid's degrees as the graph once materialized them: one
+ *  entry per vertex, from the per-vertex neighbour loop. */
+std::vector<std::uint32_t>
+referenceRoadDegrees(std::uint64_t v)
+{
+    const auto width =
+        static_cast<std::uint64_t>(std::sqrt(static_cast<double>(v)));
+    std::vector<std::uint32_t> degrees(v);
+    for (std::uint64_t u = 0; u < v; ++u) {
+        std::uint32_t deg = 0;
+        if (u >= width)
+            ++deg; // up
+        if (u + width < v)
+            ++deg; // down
+        if (u % width != 0)
+            ++deg; // left
+        if ((u + 1) % width != 0 && u + 1 < v)
+            ++deg; // right
+        degrees[u] = deg;
+    }
+    return degrees;
+}
+
+/** CRC32 over every record's fields (not its padding). */
+std::uint32_t
+traceCrc(const trace::MemoryTrace &trace)
+{
+    std::uint32_t crc = 0;
+    for (const auto &record : trace.records()) {
+        unsigned char bytes[12];
+        std::memcpy(bytes, &record.vaddr, 8);
+        std::memcpy(bytes + 8, &record.gap, 2);
+        bytes[10] = record.isWrite;
+        bytes[11] = record.dependsOnPrev;
+        crc = crc32(bytes, sizeof bytes, crc);
+    }
+    return crc;
+}
+
+} // namespace
+
+TEST(Graph, RoadClosedFormMatchesPerVertexLoop)
+{
+    // 16 is a full 4x4 grid and roadGraph()'s 4M vertices a full
+    // 2048-wide one; 17, 1000 and 4099 end in a partial last row.
+    for (std::uint64_t vertices :
+         {std::uint64_t(16), std::uint64_t(17), std::uint64_t(1000),
+          std::uint64_t(4099), roadGraph().numVertices}) {
+        SyntheticGraph road(roadGraph(vertices));
+        const auto degrees = referenceRoadDegrees(vertices);
+        std::uint64_t acc = 0;
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t u = 0; u < vertices; ++u) {
+            mismatches += road.offset(u) != acc;
+            mismatches += road.degree(u) != degrees[u];
+            acc += degrees[u];
+        }
+        EXPECT_EQ(mismatches, 0u) << vertices << " vertices";
+        EXPECT_EQ(road.offset(vertices), acc) << vertices << " vertices";
+        EXPECT_EQ(road.numEdges(), acc) << vertices << " vertices";
+    }
+}
+
+TEST(Graph, DegreeIsOffsetDifferenceForEveryKind)
+{
+    for (const GraphParams &params :
+         {twitterGraph(1u << 14), webGraph(1u << 14), roadGraph(4099)}) {
+        SyntheticGraph graph(params);
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t u = 0; u < graph.numVertices(); ++u)
+            mismatches +=
+                graph.degree(u) != graph.offset(u + 1) - graph.offset(u);
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(graph.offset(0), 0u);
+        EXPECT_EQ(graph.offset(graph.numVertices()), graph.numEdges());
+    }
+}
+
+TEST(Graph, BfsRoadPoolAndTraceArePinned)
+{
+    // Values of the materialized-degree graph this closed form
+    // replaced: the pool it sizes and every record of its trace.
+    auto workload = makeWorkload("gapbs/bfs-road");
+    const auto trace = workload->generateTrace();
+    EXPECT_EQ(workload->primaryPoolSize(), 241172480u);
+    EXPECT_EQ(trace.size(), 400000u);
+    EXPECT_EQ(traceCrc(trace), 0x5bc2a78cu);
 }
 
 TEST(Graph, RoadNeighborsAreGridAdjacent)
