@@ -1107,11 +1107,4 @@ defaultDatasetPath()
     return "mosaic_dataset.csv";
 }
 
-Dataset
-loadOrRunDefaultCampaign()
-{
-    CampaignRunner runner;
-    return runner.loadOrRun(defaultDatasetPath());
-}
-
 } // namespace mosaic::exp

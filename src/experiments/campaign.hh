@@ -246,14 +246,11 @@ class CampaignRunner
  */
 std::string traceCacheStem(const std::string &label);
 
-/** Default cache location used by all bench binaries and examples. */
-std::string defaultDatasetPath();
-
 /**
- * Convenience used by every bench binary: full-grid campaign, cached
- * at defaultDatasetPath().
+ * The dataset path the tools and mosaic_paper default to:
+ * $MOSAIC_DATASET, else mosaic_dataset.csv.
  */
-Dataset loadOrRunDefaultCampaign();
+std::string defaultDatasetPath();
 
 } // namespace mosaic::exp
 

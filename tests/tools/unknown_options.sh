@@ -2,8 +2,8 @@
 # Every command-line tool refuses an option it does not read, a word
 # that is no option's value, an unknown platform name or workload
 # label, a campaign configuration no runner can honor, and a campaign
-# --out it could not write: it exits 2 and prints one line naming the
-# problem, before doing any work.
+# --out or export --outdir it could not write: it exits 2 and prints
+# one line naming the problem, before doing any work.
 #
 # usage: unknown_options.sh TOOL_DIR BENCH_DIR
 set -u
@@ -48,6 +48,8 @@ expect_rejected --jbos mosaic_run --workload gups/8GB \
     --platform SandyBridge --jbos 2
 expect_rejected --dataest mosaic_fit --dataest x.csv
 expect_rejected --outdri mosaic_export --outdri plots
+# mosaic_paper takes no option: it prints every artifact.
+expect_rejected --artifact mosaic_paper --artifact fig3
 # A missing dataset makes the daemon exit even if the option slipped
 # through, instead of serving forever.
 expect_rejected --portt mosaic_serve --dataset missing.csv --portt 0
@@ -67,6 +69,11 @@ expect_error "config error: unknown workload 'nope/none'" \
     mosaic_campaign --workloads nope/none
 expect_error "config error: unknown workload 'nope/none'" mosaic_run \
     --workload nope/none --platform SandyBridge
+# A --curves item is a known workload:platform pair, never dropped.
+expect_error "--curves: expected workload:platform, got 'spec06/mcf'" \
+    mosaic_export --curves spec06/mcf
+expect_error "unknown platform 'Sandybridge'" mosaic_export \
+    --curves spec06/mcf:Sandybridge
 expect_error "incompatible with co-workload interference" \
     mosaic_campaign --workloads gups/8GB --co-workload gups/16GB \
     --mem-frames 4096 --sample-mode interval
@@ -85,5 +92,8 @@ expect_error \
     "cannot write --out /no-such-dir/x.csv: No such file or directory" \
     mosaic_campaign --workloads gups/8GB,gups/16GB --jobs 2 \
     --out /no-such-dir/x.csv
+expect_error \
+    "cannot write --outdir /no-such-dir/plots: No such file or directory" \
+    mosaic_export --outdir /no-such-dir/plots
 
 exit $failed

@@ -9,13 +9,18 @@
  *                 --curves spec06/mcf:SandyBridge
  */
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <sys/stat.h>
 
+#include "cpu/platform.hh"
 #include "experiments/campaign.hh"
 #include "experiments/plot_export.hh"
+#include "support/io_util.hh"
 #include "support/str.hh"
 #include "tools/cli_common.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
@@ -27,6 +32,45 @@ constexpr const char *usageText =
     "defaults: dataset = mosaic_dataset.csv, outdir = plots,\n"
     "          curves = the paper's Figure 3/7/8/10/11 pairs\n";
 
+/** One --curves item, "workload:platform", of a known workload and
+ *  platform. */
+mosaic::Result<std::pair<std::string, std::string>>
+parseCurve(const std::string &item)
+{
+    auto parts = mosaic::splitString(item, ':');
+    if (parts.size() != 2) {
+        return mosaic::configError(
+            "--curves: expected workload:platform, got '" + item + "'");
+    }
+    if (auto workload = mosaic::workloads::findWorkload(parts[0]);
+        !workload.ok())
+        return workload.error();
+    if (auto platform = mosaic::cpu::findPlatform(parts[1]); !platform.ok())
+        return platform.error();
+    return std::make_pair(parts[0], parts[1]);
+}
+
+/**
+ * Create @p outdir and make and remove a file in it, so an unwritable
+ * directory fails before any figure is computed, not at the first
+ * file written.
+ */
+mosaic::Result<void>
+prepareOutdir(const std::string &outdir)
+{
+    const std::string probe =
+        mosaic::tempPathFor(outdir + "/fig2_errors.dat");
+    std::FILE *file = nullptr;
+    if ((mkdir(outdir.c_str(), 0755) == 0 || errno == EEXIST) &&
+        (file = std::fopen(probe.c_str(), "w"))) {
+        std::fclose(file);
+        std::remove(probe.c_str());
+        return mosaic::Result<void>();
+    }
+    return mosaic::ioError("cannot write --outdir " + outdir + ": " +
+                           std::strerror(errno));
+}
+
 int
 exportMain(int argc, char **argv)
 {
@@ -36,12 +80,6 @@ exportMain(int argc, char **argv)
         {"help", "dataset", "outdir", "curves", "metrics-out"});
     if (args.has("help"))
         cli::usage(usageText);
-
-    ScopedTimer total_timer(metrics(), "export/total");
-    auto dataset = exp::Dataset::load(
-        args.get("dataset", exp::defaultDatasetPath()));
-    std::string outdir = args.get("outdir", "plots");
-    mkdir(outdir.c_str(), 0755);
 
     std::vector<std::pair<std::string, std::string>> curves = {
         {"spec06/mcf", "SandyBridge"},          // Figure 3
@@ -53,11 +91,18 @@ exportMain(int argc, char **argv)
     if (args.has("curves")) {
         curves.clear();
         for (const auto &item : splitString(args.get("curves"), ',')) {
-            auto parts = splitString(trimString(item), ':');
-            if (parts.size() == 2)
-                curves.emplace_back(parts[0], parts[1]);
+            if (trimString(item).empty())
+                continue;
+            curves.push_back(cli::unwrapOrDie(
+                "mosaic_export", parseCurve(trimString(item))));
         }
     }
+    std::string outdir = args.get("outdir", "plots");
+    cli::unwrapOrDie("mosaic_export", prepareOutdir(outdir));
+
+    ScopedTimer total_timer(metrics(), "export/total");
+    auto dataset = exp::Dataset::load(
+        args.get("dataset", exp::defaultDatasetPath()));
 
     std::size_t files = 0;
     for (const auto &[workload, platform] : curves) {
