@@ -298,7 +298,7 @@ struct LaneEngine
                 }
             } else {
                 xlat = mmu.translateStaged(vaddr, staged_data[i],
-                                           staged_size[i],
+                                           staged_entry[i], staged_size[i],
                                            static_cast<Cycles>(issue));
             }
             double xlat_done =
@@ -448,7 +448,6 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
 {
     LaneEngine lane(mmu, hierarchy, params_);
 
-    const trace::TraceRecord *records = trace.records().data();
     const std::size_t total = trace.size();
 
     std::vector<RunResult> results;
@@ -464,13 +463,13 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
 
         lane.replay(trace, seg.warmupBegin, seg.measureBegin, deadline);
         const BoundarySnapshot before = takeSnapshot(lane);
+        const std::uint64_t insts_before = lane.instIndex;
         lane.replay(trace, seg.measureBegin, seg.end, deadline);
         const BoundarySnapshot after = takeSnapshot(lane);
 
-        Insts insts = 0;
-        for (std::uint64_t i = seg.measureBegin; i < seg.end; ++i)
-            insts += static_cast<Insts>(records[i].gap) + 1;
-        results.push_back(deltaReadout(before, after, insts,
+        // The lane counts every replayed record's instructions.
+        results.push_back(deltaReadout(before, after,
+                                       lane.instIndex - insts_before,
                                        seg.end - seg.measureBegin));
     }
     return results;

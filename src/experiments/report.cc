@@ -56,7 +56,8 @@ computeErrorGrid(const Dataset &dataset, ErrorKind kind)
             row.platform = platform;
             row.workload = workload;
 
-            models::SampleSet data = dataset.sampleSet(platform, workload);
+            models::SampleSet data =
+                dataset.sampleSetResult(platform, workload).okOrThrow();
             row.tlbSensitive = data.tlbSensitive();
             if (row.tlbSensitive) {
                 for (const auto &name : paperModelOrder()) {
@@ -93,7 +94,8 @@ computeCurve(const Dataset &dataset, const std::string &platform,
              const std::string &workload,
              const std::vector<std::string> &model_names)
 {
-    models::SampleSet data = dataset.sampleSet(platform, workload);
+    models::SampleSet data =
+        dataset.sampleSetResult(platform, workload).okOrThrow();
 
     std::vector<models::ModelPtr> fitted;
     for (const auto &name : model_names) {
@@ -134,7 +136,8 @@ computeCrossValidation(const Dataset &dataset, std::size_t k)
         for (const auto &workload : dataset.workloads()) {
             if (!dataset.has(platform, workload))
                 continue;
-            models::SampleSet data = dataset.sampleSet(platform, workload);
+            models::SampleSet data =
+                dataset.sampleSetResult(platform, workload).okOrThrow();
             if (!data.tlbSensitive())
                 continue;
             for (const auto &name : new_models) {
@@ -155,7 +158,8 @@ computeR2Grid(const Dataset &dataset)
         for (const auto &workload : dataset.workloads()) {
             if (!dataset.has(platform, workload))
                 continue;
-            models::SampleSet data = dataset.sampleSet(platform, workload);
+            models::SampleSet data =
+                dataset.sampleSetResult(platform, workload).okOrThrow();
             if (!data.tlbSensitive())
                 continue;
             R2Row row;
@@ -179,7 +183,8 @@ computeCaseStudy1g(const Dataset &dataset,
         for (const auto &workload : dataset.workloads()) {
             if (!dataset.has(platform, workload))
                 continue;
-            models::SampleSet data = dataset.sampleSet(platform, workload);
+            models::SampleSet data =
+                dataset.sampleSetResult(platform, workload).okOrThrow();
             if (!data.tlbSensitive())
                 continue;
 

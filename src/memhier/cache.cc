@@ -10,9 +10,9 @@ Cache::Cache(const CacheConfig &config)
 {
     mosaic_assert(isPowerOfTwo(config.lineSize), "line size must be 2^n");
     mosaic_assert(config.ways >= 1, "need at least one way");
-    mosaic_assert(config.ways <= 16,
-                  "packed LRU stack caps associativity at 16 in ",
-                  config.name);
+    mosaic_assert(config.ways <= lru::kMaxWays,
+                  "packed LRU stack caps associativity at ",
+                  lru::kMaxWays, " in ", config.name);
     Bytes lines = config.capacity / config.lineSize;
     mosaic_assert(lines % config.ways == 0,
                   "capacity/line/ways mismatch in ", config.name);
@@ -38,14 +38,14 @@ Cache::Cache(const CacheConfig &config)
             config.name);
     }
     tags_.assign(numSets_ * config.ways, kEmptyTag);
-    lruStack_.assign(numSets_, kSeedStack);
+    lruStack_.assign(numSets_, lru::kSeed);
 }
 
 void
 Cache::flush()
 {
     tags_.assign(tags_.size(), kEmptyTag);
-    lruStack_.assign(lruStack_.size(), kSeedStack);
+    lruStack_.assign(lruStack_.size(), lru::kSeed);
 }
 
 } // namespace mosaic::mem

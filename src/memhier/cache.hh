@@ -9,12 +9,12 @@
  *
  * access()/probe() are header-inline: they run several times per trace
  * record in the replay inner loop. Recency is kept as one packed
- * 64-bit LRU stack per set (4-bit way indices, MRU in the low nibble)
- * instead of per-way timestamps: the victim is read straight off the
- * stack tail with no per-way bookkeeping, the hit path refreshes
- * recency with a branchless nibble splice, and a set's tags are
- * stored as 4 bytes per way, so a 16-way L3 set's tags fit one host
- * cache line and the largest tag array stays host-L2-resident. The
+ * 64-bit LRU stack per set (support/packed_lru.hh, shared with the
+ * TLB arrays) instead of per-way timestamps: the victim is read
+ * straight off the stack tail with no per-way bookkeeping, the hit
+ * path refreshes recency with a branchless nibble splice, and a set's
+ * tags are stored as 4 bytes per way, so a 16-way L3 set's tags fit
+ * one host cache line and the largest tag array stays host-L2-resident. The
  * packed form caps associativity at 16 ways (the largest any modelled
  * platform uses).
  */
@@ -22,12 +22,12 @@
 #ifndef MOSAIC_MEMHIER_CACHE_HH
 #define MOSAIC_MEMHIER_CACHE_HH
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "support/logging.hh"
+#include "support/packed_lru.hh"
 #include "support/simd.hh"
 #include "support/types.hh"
 
@@ -124,33 +124,6 @@ class Cache
      */
     static constexpr std::uint32_t kEmptyTag = ~0u;
 
-    /**
-     * Initial per-set LRU stack: nibble i holds way i, so the stack
-     * reads MRU=[0, 1, ..., 15]=LRU. Empty ways therefore leave the
-     * stack tail in descending order of way index, which reproduces
-     * the pinned warmup rule exactly: the victim while the set still
-     * has empty ways is the *last* (highest-index) empty way, because
-     * touched ways have been spliced to the front and untouched ones
-     * keep their seed order. Nibbles at positions >= ways are inert
-     * padding (splices never move them down).
-     */
-    static constexpr std::uint64_t kSeedStack = 0xfedcba9876543210ULL;
-
-    /**
-     * Move the nibble at position @p pos of @p stack to the front
-     * (MRU). Branchless; positions above @p pos are untouched.
-     */
-    static std::uint64_t
-    spliceToFront(std::uint64_t stack, unsigned pos)
-    {
-        std::uint64_t nib = (stack >> (4 * pos)) & 0xf;
-        std::uint64_t below = stack & ((1ULL << (4 * pos)) - 1);
-        // Two shifts: "4 * pos + 4" would be an UB 64-bit shift for
-        // pos 15.
-        std::uint64_t above = ((stack >> (4 * pos)) >> 4) << (4 * pos);
-        return (above << 4) | (below << 4) | nib;
-    }
-
     template <unsigned kWays>
     inline bool accessImpl(PhysAddr addr, Requester requester);
 
@@ -194,30 +167,16 @@ Cache::accessImpl(PhysAddr addr, Requester requester)
     // it behaviourally identical to the original way-by-way loop.
     int w = simd::findKey32(base, ways, tag);
     if (w >= 0) {
-        // Find w's position in the stack and splice it to MRU.
-        // SWAR zero-nibble scan: the lowest matching position is
-        // exact (no borrow can propagate past a nonzero nibble),
-        // and w occurs exactly once among the first `ways`
-        // nibbles, below any aliasing padding nibble.
-        std::uint64_t diff =
-            stack ^ (0x1111111111111111ULL *
-                     static_cast<unsigned>(w));
-        std::uint64_t zero = (diff - 0x1111111111111111ULL) & ~diff &
-                             0x8888888888888888ULL;
-        unsigned pos =
-            static_cast<unsigned>(std::countr_zero(zero)) >> 2;
-        stack = spliceToFront(stack, pos);
+        stack = lru::touch(stack, static_cast<unsigned>(w));
         ++stats_.hits[req];
         return true;
     }
 
     // Miss: the victim is the stack tail — the LRU way once the set is
     // full, the highest-index empty way while it is warming up (see
-    // kSeedStack). Allocating makes it MRU.
-    unsigned victim =
-        static_cast<unsigned>((stack >> (4 * (ways - 1))) & 0xf);
-    base[victim] = tag;
-    stack = spliceToFront(stack, ways - 1);
+    // lru::kSeed). Allocating makes it MRU.
+    base[lru::wayAt(stack, ways - 1)] = tag;
+    stack = lru::spliceToFront(stack, ways - 1);
     ++stats_.misses[req];
     return false;
 }

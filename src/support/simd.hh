@@ -7,10 +7,8 @@
  * caches — stores its keys contiguously per set and answers one
  * question per access: "which way, if any, holds this key?". This
  * header provides that primitive as a data-parallel compare across a
- * whole set — findKey for 64-bit keys (TLBs, PWCs), findKey32 for the
- * caches' narrow 32-bit tags, and findKeyLast for the HIGHEST-index
- * match (the TLB warm-up rule fills empty ways from the back) — with
- * three implementations each:
+ * whole set — findKey for 64-bit keys (TLBs, PWCs) and findKey32 for
+ * the caches' narrow 32-bit tags — with three implementations each:
  *
  *  * AVX2  — 4 keys per compare (`vpcmpeqq` + movemask), compiled in
  *            when the build enables AVX2 (see MOSAIC_SIMD in the
@@ -24,20 +22,20 @@
  *            counters (the golden suite runs both paths).
  *
  * Correctness contract: findKey/findKey32 return the LOWEST matching
- * way index (or -1); findKeyLast returns the HIGHEST. Keys within a
- * set are unique (inserts refresh an existing key instead of
- * duplicating it) and the empty-way sentinel ~0 is unreachable for
- * real keys, so for real keys "lowest match" and "the match" coincide
- * — but the exact-index guarantees are what make the vectorized scans
- * drop-in replacements for the original way-by-way loops (first-match
- * lookups, last-empty victim picks), keeping every counter and LRU
- * decision bit-identical across tiers. The golden suite pins this by
- * replaying identical traces under the best tier and Tier::Scalar.
+ * way index (or -1). Keys within a set are unique (inserts refresh an
+ * existing key instead of duplicating it) and the empty-way sentinel
+ * ~0 is unreachable for real keys, so for real keys "lowest match"
+ * and "the match" coincide — but the exact-index guarantee is what
+ * makes the vectorized scans drop-in replacements for the original
+ * way-by-way loops, keeping every counter and LRU decision
+ * bit-identical across tiers. The golden suite pins this by replaying
+ * identical traces under the best tier and Tier::Scalar.
  */
 
 #ifndef MOSAIC_SUPPORT_SIMD_HH
 #define MOSAIC_SUPPORT_SIMD_HH
 
+#include <bit>
 #include <cstdint>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -113,9 +111,13 @@ findKeyScalar(const std::uint64_t *keys, unsigned count,
 /**
  * SSE2 scan. SSE2 has no 64-bit integer compare, so equality is two
  * 32-bit compares ANDed across each 64-bit lane: a lane is all-ones
- * iff both halves matched. The movemask bit of the lane's low byte
- * then gives the way index; scanning chunks low-to-high and taking
- * countr_zero of the first nonzero mask preserves lowest-match order.
+ * iff both halves matched, and its sign bit is the way's mask bit.
+ *
+ * The vector scans compare the whole set and OR the lane masks into
+ * one word before testing it, so a scan has a single data-dependent
+ * branch, hit or miss, however wide the set (an exit per chunk
+ * mispredicts on the wide L2-TLB sets and on the 32-entry PDE cache
+ * probed on every walk). countr_zero of the word is the lowest match.
  */
 inline int
 findKeySse2(const std::uint64_t *keys, unsigned count,
@@ -123,6 +125,7 @@ findKeySse2(const std::uint64_t *keys, unsigned count,
 {
     const __m128i n =
         _mm_set1_epi64x(static_cast<long long>(needle));
+    std::uint64_t mask = 0;
     unsigned i = 0;
     for (; i + 2 <= count; i += 2) {
         __m128i v = _mm_loadu_si128(
@@ -130,47 +133,39 @@ findKeySse2(const std::uint64_t *keys, unsigned count,
         __m128i eq32 = _mm_cmpeq_epi32(v, n);
         __m128i eq64 = _mm_and_si128(
             eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-        int mask = _mm_movemask_epi8(eq64);
-        if (mask)
-            return static_cast<int>(
-                i + (static_cast<unsigned>(__builtin_ctz(
-                         static_cast<unsigned>(mask))) >>
-                     3));
+        mask |= static_cast<std::uint64_t>(
+                    _mm_movemask_pd(_mm_castsi128_pd(eq64)))
+                << i;
     }
-    if (i < count && keys[i] == needle)
-        return static_cast<int>(i);
-    return -1;
+    if (i < count)
+        mask |= static_cast<std::uint64_t>(keys[i] == needle) << i;
+    return mask ? std::countr_zero(mask) : -1;
 }
 
 #if defined(__AVX2__)
 
-/** AVX2 scan: 4 keys per compare. Only compiled when the whole build
- *  targets AVX2, so it inlines into the replay loop with no
- *  cross-target call overhead. */
+/** AVX2 scan: 4 keys per compare, one mask word as findKeySse2. Only
+ *  compiled when the whole build targets AVX2, so it inlines into
+ *  the replay loop with no cross-target call overhead. */
 inline int
 findKeyAvx2(const std::uint64_t *keys, unsigned count,
             std::uint64_t needle)
 {
     const __m256i n =
         _mm256_set1_epi64x(static_cast<long long>(needle));
+    std::uint64_t mask = 0;
     unsigned i = 0;
     for (; i + 4 <= count; i += 4) {
         __m256i v = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(keys + i));
         __m256i eq = _mm256_cmpeq_epi64(v, n);
-        auto mask =
-            static_cast<unsigned>(_mm256_movemask_epi8(eq));
-        if (mask)
-            return static_cast<int>(
-                i + (static_cast<unsigned>(
-                         __builtin_ctz(mask)) >>
-                     3));
+        mask |= static_cast<std::uint64_t>(
+                    _mm256_movemask_pd(_mm256_castsi256_pd(eq)))
+                << i;
     }
-    for (; i < count; ++i) {
-        if (keys[i] == needle)
-            return static_cast<int>(i);
-    }
-    return -1;
+    for (; i < count; ++i)
+        mask |= static_cast<std::uint64_t>(keys[i] == needle) << i;
+    return mask ? std::countr_zero(mask) : -1;
 }
 
 #endif // __AVX2__
@@ -244,8 +239,13 @@ findKeyAvx2_32(const std::uint32_t *keys, unsigned count,
 #endif // __AVX2__
 #endif // MOSAIC_SIMD_X86
 
+/** Most keys one findKey() call may scan: its match mask is one
+ *  64-bit word. */
+constexpr unsigned kMaxFindKeys = 64;
+
 /**
  * Lowest way index in [0,count) holding @p needle, or -1.
+ * @p count must not exceed kMaxFindKeys.
  *
  * The tier branch is one load-and-compare against a process-wide int
  * that never changes mid-replay, so the hardware predicts it
@@ -265,51 +265,6 @@ findKey(const std::uint64_t *keys, unsigned count, std::uint64_t needle)
         return findKeySse2(keys, count, needle);
 #endif
     return findKeyScalar(keys, count, needle);
-}
-
-/**
- * HIGHEST index in [0,count) holding @p needle, or -1 (the dual of
- * findKey; the TLB insert path's victim rule wants the *last* empty
- * way). Implemented on the same compare-and-movemask machinery, taking
- * the top set bit of the last nonzero chunk mask.
- */
-inline int
-findKeyLast(const std::uint64_t *keys, unsigned count,
-            std::uint64_t needle)
-{
-#if MOSAIC_SIMD_X86
-    if (detail::gTier >= static_cast<int>(Tier::Sse2)) {
-        int best = -1;
-        unsigned i = 0;
-        for (; i + 2 <= count; i += 2) {
-            const __m128i n =
-                _mm_set1_epi64x(static_cast<long long>(needle));
-            __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(keys + i));
-            __m128i eq32 = _mm_cmpeq_epi32(v, n);
-            __m128i eq64 = _mm_and_si128(
-                eq32,
-                _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-            auto mask = static_cast<unsigned>(_mm_movemask_epi8(eq64));
-            if (mask)
-                best = static_cast<int>(
-                    i + ((31u - static_cast<unsigned>(
-                                    __builtin_clz(mask))) >>
-                         3));
-        }
-        for (; i < count; ++i) {
-            if (keys[i] == needle)
-                best = static_cast<int>(i);
-        }
-        return best;
-    }
-#endif
-    int best = -1;
-    for (unsigned i = 0; i < count; ++i) {
-        if (keys[i] == needle)
-            best = static_cast<int>(i);
-    }
-    return best;
 }
 
 /** findKey over 32-bit tags; same contract and dispatch. */

@@ -8,15 +8,6 @@
 namespace mosaic::trace
 {
 
-Insts
-MemoryTrace::totalInstructions() const
-{
-    Insts total = 0;
-    for (const auto &record : records_)
-        total += record.gap + 1;
-    return total;
-}
-
 std::uint64_t
 MemoryTrace::numDependent() const
 {

@@ -57,9 +57,11 @@ class MemoryTrace
     add(VirtAddr vaddr, unsigned gap, bool is_write,
         bool depends_on_prev = false)
     {
-        records_.push_back(TraceRecord{
-            vaddr, static_cast<std::uint16_t>(gap > 0xffff ? 0xffff : gap),
-            is_write, depends_on_prev});
+        const auto stored_gap =
+            static_cast<std::uint16_t>(gap > 0xffff ? 0xffff : gap);
+        records_.push_back(
+            TraceRecord{vaddr, stored_gap, is_write, depends_on_prev});
+        totalInstructions_ += stored_gap + 1;
     }
 
     /** Count of references flagged as dependent on their predecessor. */
@@ -69,8 +71,9 @@ class MemoryTrace
     std::size_t size() const { return records_.size(); }
     bool empty() const { return records_.empty(); }
 
-    /** Total retired instructions (each reference counts as one). */
-    Insts totalInstructions() const;
+    /** Total retired instructions (each reference counts as one),
+     *  kept as a running sum by add(), the only writer. */
+    Insts totalInstructions() const { return totalInstructions_; }
 
     /** Number of load (non-write) references. */
     std::uint64_t numLoads() const;
@@ -83,6 +86,7 @@ class MemoryTrace
 
   private:
     std::vector<TraceRecord> records_;
+    Insts totalInstructions_ = 0;
 };
 
 } // namespace mosaic::trace

@@ -15,33 +15,52 @@ Mmu::Mmu(const PageTable &page_table, mem::MemoryHierarchy &hierarchy,
 
 TranslationEvent
 Mmu::translateCold(VirtAddr vaddr, PhysAddr staged_phys,
-                   alloc::PageSize size, TlbOutcome outcome, Cycles now)
+                   PhysAddr staged_leaf, alloc::PageSize size, Cycles now)
 {
     TranslationEvent event;
     event.physAddr = staged_phys;
     event.pageSize = size;
-    event.outcome = outcome;
-    if (outcome == TlbOutcome::L2Hit) {
+    event.outcome = tlb_.lookupL2(vaddr, size);
+    if (event.outcome == TlbOutcome::L2Hit) {
         ++counters_.h;
         event.latency = config_.l2TlbHitLatency;
         return event;
     }
 
-    // Full miss: the walker needs the entry chain, which neither the
-    // staged arrays nor the packed memo carry. Re-derive it from the
-    // page table instead of trusting the caller — the translation is
-    // pure, so a staging pass that has since recycled the memo slot
-    // (staging runs up to a whole chunk ahead of retirement) cannot
-    // alias this record's walk. The guard asserts the staged values
-    // still describe this vaddr. All radix indices use address bits
-    // >= 12, so the granule base walks the same entry chain.
-    Translation xlate =
-        pageTable_.translateWith(descentCursor_, (vaddr >> 12) << 12);
-    mosaic_assert(xlate.valid, "access to unmapped address ", vaddr);
-    mosaic_assert(xlate.physAddr + (vaddr & 0xfff) == staged_phys &&
-                      xlate.pageSize == size,
-                  "staged translation aliased for vaddr ", vaddr);
-    WalkResult walk = walker_.walk(xlate, vaddr, now);
+    // Full miss. The staging pass runs up to a whole chunk ahead of
+    // retirement and may have recycled this record's memo slot since,
+    // so the staged values are checked against the page table's
+    // translation (pure) before the walk trusts them: the guard below
+    // fires on a staged record that does not describe this vaddr.
+    // All radix indices use address bits >= 12, so the granule base
+    // walks the same entry chain.
+    const auto leaf = static_cast<unsigned>(leafLevel(size));
+    const unsigned start = walker_.probe(vaddr, leaf);
+    std::array<PhysAddr, numPtLevels> chain;
+    const std::uint64_t granule = vaddr >> 12;
+    const XlateEntry &slot =
+        xlateCache_[granule & (kXlateCacheSize - 1)];
+    if (start == leaf && (slot.tag >> 2) == granule) {
+        // The PWC above the leaf hit, so the walk reads the leaf entry
+        // alone, and the memo slot still holds the granule's
+        // translation: no descent is needed.
+        mosaic_assert(slot.physBase + (vaddr & 0xfff) == staged_phys &&
+                          static_cast<alloc::PageSize>(slot.tag & 0x3) ==
+                              size &&
+                          slot.leafEntry == staged_leaf,
+                      "staged translation aliased for vaddr ", vaddr);
+    } else {
+        Translation xlate =
+            pageTable_.translateWith(descentCursor_, granule << 12);
+        mosaic_assert(xlate.valid, "access to unmapped address ", vaddr);
+        mosaic_assert(xlate.physAddr + (vaddr & 0xfff) == staged_phys &&
+                          xlate.pageSize == size &&
+                          xlate.entryAddrs[leaf] == staged_leaf,
+                      "staged translation aliased for vaddr ", vaddr);
+        chain = xlate.entryAddrs;
+    }
+    chain[leaf] = staged_leaf;
+    WalkResult walk = walker_.finish(chain, start, leaf, vaddr, now);
     tlb_.fill(vaddr, size);
     ++counters_.m;
     counters_.c += walk.walkCycles;

@@ -106,15 +106,17 @@ class Mmu : public ShootdownSink
 
     /**
      * translate() for a record whose software translation was already
-     * staged: @p staged_phys and @p size must be the physAddr
-     * (page-offset included) and page size that peekTranslate(@p
-     * vaddr) produced. Skips the duplicate memo lookup on the TLB-hit
-     * paths; every simulated action and counter is identical to
-     * translate(vaddr, now). The replay kernel stages a chunk and
-     * then retires it through this entry.
+     * staged: @p staged_phys, @p staged_leaf and @p size must be the
+     * physAddr (page-offset included), leaf-entry address and page
+     * size that peekTranslate(@p vaddr) produced. Skips the duplicate
+     * memo lookup on the TLB-hit paths, and the radix descent on
+     * walks that read only the leaf entry; every simulated action and
+     * counter is identical to translate(vaddr, now). The replay
+     * kernel stages a chunk and then retires it through this entry.
      */
     inline TranslationEvent translateStaged(VirtAddr vaddr,
                                             PhysAddr staged_phys,
+                                            PhysAddr staged_leaf,
                                             alloc::PageSize size,
                                             Cycles now);
 
@@ -194,14 +196,14 @@ class Mmu : public ShootdownSink
     void flush();
 
     /**
-     * Cold continuation of translateStaged() for the non-L1-hit
-     * outcomes. Out-of-line (and kept out of the inliner's reach) so
-     * the replay loop's hot path carries only the L1-hit code;
-     * see the "Replay kernel" section of DESIGN.md.
+     * Cold continuation of translateStaged() after an L1-TLB miss: the
+     * L2 lookup, and the walk on a miss. Out-of-line (and kept out of
+     * the inliner's reach) so the replay loop's hot path carries only
+     * the L1-hit code; see the "Replay kernel" section of DESIGN.md.
      */
     [[gnu::noinline]] TranslationEvent
     translateCold(VirtAddr vaddr, PhysAddr staged_phys,
-                  alloc::PageSize size, TlbOutcome outcome, Cycles now);
+                  PhysAddr staged_leaf, alloc::PageSize size, Cycles now);
 
     const MmuCounters &counters() const { return counters_; }
     const TlbSystem &tlb() const { return tlb_; }
@@ -218,8 +220,9 @@ class Mmu : public ShootdownSink
      * Memoized software translation of one 4KB granule's base, packed
      * to 24 bytes so the staging pass's random slot reads stay inside
      * the host L2 (a full Translation-per-slot memo is 3x larger and
-     * streams the entry chain the hot path never reads; the walker
-     * re-derives the chain from the page table on the miss path).
+     * streams the entry chain the hot path never reads; a walk that
+     * reads more than the leaf entry re-derives the chain from the
+     * page table).
      */
     struct XlateEntry
     {
@@ -256,30 +259,31 @@ TranslationEvent
 Mmu::translate(VirtAddr vaddr, Cycles now)
 {
     // One implementation for both entries: translate() is
-    // translateStaged() fed straight from the memo. The cold path
-    // re-derives the translation from the page table (pure), so
-    // routing through the staged form changes no simulated action.
+    // translateStaged() fed straight from the memo, a pure function
+    // of the page table, so routing through the staged form changes
+    // no simulated action.
     StagedXlate staged = peekTranslate(vaddr);
-    return translateStaged(vaddr, staged.physAddr, staged.pageSize, now);
+    return translateStaged(vaddr, staged.physAddr, staged.leafEntry,
+                           staged.pageSize, now);
 }
 
 TranslationEvent
 Mmu::translateStaged(VirtAddr vaddr, PhysAddr staged_phys,
-                     alloc::PageSize size, Cycles now)
+                     PhysAddr staged_leaf, alloc::PageSize size,
+                     Cycles now)
 {
     // Fast path: the replay loop's common case is an L1-TLB hit, and
     // it needs nothing beyond the staged translation and a counter
     // bump. Everything else (L2 latency, walks, fills) lives in the
     // out-of-line cold continuation so this inlines small and hot.
-    TlbOutcome outcome = tlb_.lookup(vaddr, size);
-    if (outcome == TlbOutcome::L1Hit) [[likely]] {
+    if (tlb_.lookupL1(vaddr, size)) [[likely]] {
         ++counters_.l1Hits;
         TranslationEvent event;
         event.physAddr = staged_phys;
         event.pageSize = size;
         return event;
     }
-    return translateCold(vaddr, staged_phys, size, outcome, now);
+    return translateCold(vaddr, staged_phys, staged_leaf, size, now);
 }
 
 } // namespace mosaic::vm

@@ -11,8 +11,10 @@
  *
  * The lookup/insert paths are header-inline: they run once per trace
  * record in the replay inner loop, and cross-TU calls cost more than
- * the 4-way scans themselves. The golden-counter suite pins their
- * observable behaviour (hit/miss counts and LRU order) bit-exactly.
+ * the 4-way scans themselves. Each is O(1) in the associativity: one
+ * vector key compare plus a packed-LRU update, with no per-way
+ * recency scan. The golden-counter suite pins their observable
+ * behaviour (hit/miss counts and LRU order) bit-exactly.
  */
 
 #ifndef MOSAIC_VM_TLB_HH
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "mosalloc/page_size.hh"
+#include "support/packed_lru.hh"
 #include "support/simd.hh"
 #include "support/types.hh"
 
@@ -37,6 +40,16 @@ namespace mosaic::vm
  * index is derived from the key's low bits, LRU replacement within a
  * set. Keys must never equal ~0 (the empty-way sentinel); real keys
  * are derived from 48-bit virtual addresses and cannot reach it.
+ *
+ * Replacement (pinned by the golden counters): a hit or a refill of a
+ * resident key makes its way the most recent; a new key takes the
+ * *last* empty way while the set has one, else the least recently
+ * used way. Recency is exact LRU kept in O(1) per operation. A set of
+ * up to 16 ways keeps one packed stack (support/packed_lru.hh, the
+ * data caches' scheme), seeded so the empty ways form its tail,
+ * highest index last: the tail is the victim in both phases. Wider
+ * sets (the 32-entry PDE cache) keep one recency rank byte per way
+ * with the same order, updated out of line.
  */
 class TlbArray
 {
@@ -73,34 +86,99 @@ class TlbArray
     /** Key value of an empty way; unreachable for real keys. */
     static constexpr std::uint64_t kEmptyKey = ~0ULL;
 
+    /** Make way @p way of @p set the most recently used. */
+    inline void touch(std::uint32_t set, unsigned way);
+
+    /** touch() and insert()'s fill for sets wider than one packed
+     *  stack: rank-byte updates, out of the inline paths. */
+    [[gnu::noinline]] void touchRanked(std::uint32_t set, unsigned way);
+    [[gnu::noinline]] void fillRanked(std::uint32_t set,
+                                      std::uint64_t key);
+
+    /** Recency rank bytes of @p set's ways (0 = MRU). */
+    std::uint8_t *
+    ranks(std::uint32_t set)
+    {
+        return &ranks_[static_cast<std::size_t>(set) * rankStride_];
+    }
+
     std::uint32_t entries_;
     std::uint32_t ways_;
     std::uint32_t numSets_ = 0;
     std::uint64_t setMask_ = 0;
 
-    /**
-     * Way state, structure-of-arrays: the lookup scan touches only
-     * keys_ (a 4-way set is one 32-byte vector compare), and
-     * lastUse_ is read solely on the insert/victim path. The previous
-     * AoS {key, lastUse} pairs made every scan stride over recency
-     * words it never compared.
-     */
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint64_t> lastUse_;
+    /** Most ways a set may have: a set is one findKey() scan. */
+    static constexpr std::uint32_t kMaxWays = simd::kMaxFindKeys;
 
-    std::uint64_t lruClock_ = 0;
+    /** Way keys, numSets_ x keyStride_, row-major: a 4-way set is one
+     *  32-byte vector compare. keyStride_ rounds ways_ up to 4, so
+     *  every scan is whole vectors; the padding keys stay kEmptyKey,
+     *  which no real key equals. */
+    std::vector<std::uint64_t> keys_;
+    std::uint32_t keyStride_ = 0;
+
+    /** Way of @p set holding @p key, or -1. */
+    int
+    find(std::uint32_t set, std::uint64_t key) const
+    {
+        return simd::findKey(&keys_[static_cast<std::size_t>(set) *
+                                    keyStride_],
+                             keyStride_, key);
+    }
+
+    /** ways_ <= lru::kMaxWays: one packed LRU stack per set. */
+    std::vector<std::uint64_t> lruStack_;
+
+    /**
+     * ways_ > lru::kMaxWays: each way's recency rank (0 = MRU,
+     * ways_ - 1 = the victim), rankStride_ bytes per set. The stride
+     * rounds ways_ up to 16 so every update is whole 16-byte vectors;
+     * the padding ranks hold kPadRank, which no update moves and no
+     * victim search matches.
+     */
+    std::vector<std::uint8_t> ranks_;
+    std::uint32_t rankStride_ = 0;
+    static constexpr std::uint8_t kPadRank = 0x7f;
 
     /** No-memo sentinel for lastHit_. */
     static constexpr std::uint32_t kNoWay = ~0u;
 
     /**
-     * Index of the way that served the last hit (repeat-lookup memo).
-     * Checked by key on every use, so eviction or flush cannot make it
-     * serve a stale translation; it only short-circuits the set scan.
-     * An index (not a pointer) keeps copies of the array safe.
+     * Slot (set * keyStride_ + way) that served the last hit, with
+     * its set and way (repeat-lookup memo). Checked by key on every
+     * use, so eviction or flush cannot make it serve a stale
+     * translation; it only short-circuits the set scan, and keeping
+     * the set and way spares the hit path a division. Indices (not a
+     * pointer) keep copies of the array safe.
      */
     std::uint32_t lastHit_ = kNoWay;
+    std::uint32_t lastSet_ = 0;
+    std::uint32_t lastWay_ = 0;
+
+    /**
+     * Key of the last lookup() that missed, or kEmptyKey (miss memo).
+     * Only an insert() can make it resident, and every insert() clears
+     * it, so while it is set the key is known absent: an insert() of
+     * it skips the refresh scan. Every fill on the replay path (the
+     * L1 promotion after an L2 hit, the TLB fills and PWC installs
+     * after a walk) inserts a key that just missed.
+     */
+    std::uint64_t lastMiss_ = kEmptyKey;
 };
+
+void
+TlbArray::touch(std::uint32_t set, unsigned way)
+{
+    if (ways_ > lru::kMaxWays) [[unlikely]] {
+        touchRanked(set, way);
+        return;
+    }
+    std::uint64_t &stack = lruStack_[set];
+    // MRU early-out: a run of hits on one page (the repeat-hit memo's
+    // case) finds its way at the front already.
+    if (lru::wayAt(stack, 0) != way)
+        stack = lru::touch(stack, way);
+}
 
 bool
 TlbArray::lookup(std::uint64_t key)
@@ -112,24 +190,25 @@ TlbArray::lookup(std::uint64_t key)
     // Repeat-hit fast path: the scan would find this same way and
     // perform exactly these updates.
     if (lastHit_ != kNoWay && keys_[lastHit_] == key) {
-        lastUse_[lastHit_] = ++lruClock_;
+        touch(lastSet_, lastWay_);
         ++hits;
         return true;
     }
     // Low 2 bits of the key carry the page size; index above them.
-    std::uint64_t set = (key >> 2) & setMask_;
-    std::uint64_t base = set * ways_;
-    ++lruClock_;
+    auto set = static_cast<std::uint32_t>((key >> 2) & setMask_);
     // Vectorized set scan; keys are unique within a set, so the
     // lowest-match contract reproduces the original loop exactly.
-    int w = simd::findKey(&keys_[base], ways_, key);
+    int w = find(set, key);
     if (w >= 0) {
-        std::uint64_t slot = base + static_cast<unsigned>(w);
-        lastUse_[slot] = lruClock_;
-        lastHit_ = static_cast<std::uint32_t>(slot);
+        auto way = static_cast<unsigned>(w);
+        touch(set, way);
+        lastHit_ = set * keyStride_ + way;
+        lastSet_ = set;
+        lastWay_ = way;
         ++hits;
         return true;
     }
+    lastMiss_ = key;
     ++misses;
     return false;
 }
@@ -139,36 +218,24 @@ TlbArray::insert(std::uint64_t key)
 {
     if (entries_ == 0)
         return;
-    std::uint64_t set = (key >> 2) & setMask_;
-    std::uint64_t base = set * ways_;
-    ++lruClock_;
-
-    // Victim choice (pinned by the golden counters): refresh if the
-    // key is already resident; else the *last* empty way if any way is
-    // empty; else the LRU way (lowest index on lastUse ties). The
-    // original way-by-way loop interleaved all three rules with
-    // data-dependent branches; splitting them into two vector scans
-    // plus a cmov-friendly argmin keeps the fill path (every walk
-    // fills two arrays, plus the walk-cache installs) branch-cheap.
-    const std::uint64_t *keys = &keys_[base];
-    int match = simd::findKey(keys, ways_, key);
-    if (match >= 0) {
-        lastUse_[base + static_cast<unsigned>(match)] = lruClock_;
+    auto set = static_cast<std::uint32_t>((key >> 2) & setMask_);
+    if (key != lastMiss_) {
+        int match = find(set, key);
+        if (match >= 0) {
+            touch(set, static_cast<unsigned>(match));
+            return;
+        }
+    }
+    lastMiss_ = kEmptyKey;
+    if (ways_ > lru::kMaxWays) [[unlikely]] {
+        fillRanked(set, key);
         return;
     }
-    int empty = simd::findKeyLast(keys, ways_, kEmptyKey);
-    std::uint32_t victim;
-    if (empty >= 0) {
-        victim = static_cast<std::uint32_t>(empty);
-    } else {
-        victim = 0;
-        for (std::uint32_t w = 1; w < ways_; ++w)
-            victim = lastUse_[base + w] < lastUse_[base + victim]
-                         ? w
-                         : victim;
-    }
-    keys_[base + victim] = key;
-    lastUse_[base + victim] = lruClock_;
+    // The stack tail is the victim: the last empty way while the set
+    // warms up, the LRU way once it is full.
+    std::uint64_t &stack = lruStack_[set];
+    keys_[set * keyStride_ + lru::wayAt(stack, ways_ - 1)] = key;
+    stack = lru::spliceToFront(stack, ways_ - 1);
 }
 
 /** Split L1 TLB geometry: one array per page size. */
@@ -217,6 +284,13 @@ class TlbSystem
      * On Miss the caller must complete a walk and then call fill().
      */
     inline TlbOutcome lookup(VirtAddr vaddr, alloc::PageSize size);
+
+    /** lookup() in two steps, so a caller can keep the L1 hit inline
+     *  and the rest out of line: lookupL1() is true (and counted) on
+     *  an L1 hit; after it returns false, lookupL2() gives L2Hit or
+     *  Miss. */
+    inline bool lookupL1(VirtAddr vaddr, alloc::PageSize size);
+    inline TlbOutcome lookupL2(VirtAddr vaddr, alloc::PageSize size);
 
     /** Install a translation after a walk (fills L1 and L2). */
     inline void fill(VirtAddr vaddr, alloc::PageSize size);
@@ -284,11 +358,23 @@ class TlbSystem
 TlbOutcome
 TlbSystem::lookup(VirtAddr vaddr, alloc::PageSize size)
 {
+    return lookupL1(vaddr, size) ? TlbOutcome::L1Hit
+                                 : lookupL2(vaddr, size);
+}
+
+bool
+TlbSystem::lookupL1(VirtAddr vaddr, alloc::PageSize size)
+{
+    if (!l1ArrayMut(size).lookup(makeKey(vaddr, size)))
+        return false;
+    ++l1HitCount_;
+    return true;
+}
+
+TlbOutcome
+TlbSystem::lookupL2(VirtAddr vaddr, alloc::PageSize size)
+{
     std::uint64_t key = makeKey(vaddr, size);
-    if (l1ArrayMut(size).lookup(key)) {
-        ++l1HitCount_;
-        return TlbOutcome::L1Hit;
-    }
     if (l2Holds(size)) {
         TlbArray &l2 = size == alloc::PageSize::Page1G ? l2Huge1g_
                                                        : l2Shared_;

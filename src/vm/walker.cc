@@ -31,31 +31,46 @@ WalkResult
 PageWalker::walk(const Translation &xlate, VirtAddr vaddr, Cycles now)
 {
     mosaic_assert(xlate.valid, "walk of unmapped address ", vaddr);
-
     // Entry chain indices: 0 = PML4E, 1 = PDPTE, 2 = PDE, 3 = PTE.
     // The leaf is at depth-1; upper levels may be skipped via the PWCs.
     const unsigned leaf = xlate.depth - 1;
+    WalkResult result =
+        finish(xlate.entryAddrs, probe(vaddr, leaf), leaf, vaddr, now);
+    result.physAddr = xlate.physAddr;
+    result.pageSize = xlate.pageSize;
+    return result;
+}
 
-    // Paging-structure caches hold non-leaf entries only; probe from
-    // the deepest cache upward, as the hardware does.
-    unsigned start = 0;
+unsigned
+PageWalker::probe(VirtAddr vaddr, unsigned leaf)
+{
+    // Paging-structure caches hold non-leaf entries only.
     if (leaf >= 3 && pwcPde_.lookup(vaddr >> 21)) {
-        start = 3;
         ++stats_.pwcHits[2];
-    } else if (leaf >= 2 && pwcPdpte_.lookup(vaddr >> 30)) {
-        start = 2;
-        ++stats_.pwcHits[1];
-    } else if (leaf >= 1 && pwcPml4e_.lookup(vaddr >> 39)) {
-        start = 1;
-        ++stats_.pwcHits[0];
+        return 3;
     }
+    if (leaf >= 2 && pwcPdpte_.lookup(vaddr >> 30)) {
+        ++stats_.pwcHits[1];
+        return 2;
+    }
+    if (leaf >= 1 && pwcPml4e_.lookup(vaddr >> 39)) {
+        ++stats_.pwcHits[0];
+        return 1;
+    }
+    return 0;
+}
 
+WalkResult
+PageWalker::finish(const std::array<PhysAddr, numPtLevels> &chain,
+                   unsigned start, unsigned leaf, VirtAddr vaddr,
+                   Cycles now)
+{
     // The remaining reads are serialized: each entry names the next
     // table, so latencies sum (Section II-B of the paper).
     Cycles walk_cycles = 0;
     for (unsigned level = start; level <= leaf; ++level) {
-        auto access = hierarchy_.access(xlate.entryAddrs[level],
-                                        mem::Requester::Walker);
+        auto access =
+            hierarchy_.access(chain[level], mem::Requester::Walker);
         walk_cycles += access.latency;
         ++stats_.levelReads;
     }
@@ -87,8 +102,6 @@ PageWalker::walk(const Translation &xlate, VirtAddr vaddr, Cycles now)
     result.queueCycles = start_time - now;
     result.completesAt = start_time + walk_cycles;
     result.levelsRead = leaf - start + 1;
-    result.physAddr = xlate.physAddr;
-    result.pageSize = xlate.pageSize;
 
     ++stats_.walks;
     stats_.walkCycles += walk_cycles;

@@ -19,6 +19,7 @@
 #ifndef MOSAIC_VM_WALKER_HH
 #define MOSAIC_VM_WALKER_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -95,9 +96,34 @@ class PageWalker
 
     /**
      * Same, with the software translation already in hand (the MMU
-     * translates once per access and shares the result).
+     * translates once per access and shares the result): probe(),
+     * then finish() over @p xlate's entry chain.
      */
     WalkResult walk(const Translation &xlate, VirtAddr vaddr, Cycles now);
+
+    /**
+     * First half of a walk: probe the PWCs from the deepest cache
+     * upward, as the hardware does, and count the hit.
+     * @param leaf chain index of the leaf entry (leafLevel() of the
+     *        page size: 3 for 4KB, 2 for 2MB, 1 for 1GB)
+     * @return the first chain index the walk must read; == @p leaf
+     *         when the PWC just above the leaf hit, so the walk reads
+     *         the leaf entry alone
+     */
+    unsigned probe(VirtAddr vaddr, unsigned leaf);
+
+    /**
+     * Second half: read chain entries [@p start, @p leaf] through the
+     * hierarchy, install the traversed non-leaf entries into the
+     * PWCs and dispatch the walk to the earliest-free walker.
+     * @param chain entry addresses indexed by level; only
+     *        [@p start, @p leaf] are read
+     * @return the walk's timing; physAddr and pageSize are left for
+     *         the caller, which holds the translation
+     */
+    WalkResult finish(const std::array<PhysAddr, numPtLevels> &chain,
+                      unsigned start, unsigned leaf, VirtAddr vaddr,
+                      Cycles now);
 
     /** Drop PWC contents (walker availability persists). */
     void flushPwcs();

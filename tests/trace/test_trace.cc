@@ -38,6 +38,8 @@ TEST(MemoryTrace, TotalInstructionsCountsRefsAndGaps)
     trace.add(0x1000, 3, false); // 3 + the ref itself
     trace.add(0x2000, 0, false); // 1
     EXPECT_EQ(trace.totalInstructions(), 5u);
+    trace.add(0x3000, 1 << 20, false); // the stored, saturated gap
+    EXPECT_EQ(trace.totalInstructions(), 5u + 0xffffu + 1);
 }
 
 TEST(MemoryTrace, NumLoadsExcludesStores)

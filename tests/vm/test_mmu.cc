@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "memhier/hierarchy.hh"
 #include "vm/mmu.hh"
 
@@ -168,7 +171,8 @@ TEST(Mmu, StagedAndFullTranslationsAgreeWhenInterleaved)
         auto full = plain.mmu->translate(stream[i], now);
         const Mmu::StagedXlate &stage = pending[i % kStageAhead];
         auto lazy = staged.mmu->translateStaged(
-            stream[i], stage.physAddr, stage.pageSize, now);
+            stream[i], stage.physAddr, stage.leafEntry, stage.pageSize,
+            now);
         ASSERT_EQ(full.physAddr, lazy.physAddr) << "at access " << i;
         ASSERT_EQ(full.outcome, lazy.outcome) << "at access " << i;
         ASSERT_EQ(full.latency, lazy.latency) << "at access " << i;
@@ -179,6 +183,110 @@ TEST(Mmu, StagedAndFullTranslationsAgreeWhenInterleaved)
     EXPECT_EQ(plain.mmu->counters().h, staged.mmu->counters().h);
     EXPECT_EQ(plain.mmu->counters().m, staged.mmu->counters().m);
     EXPECT_EQ(plain.mmu->counters().c, staged.mmu->counters().c);
+}
+
+namespace
+{
+
+/** Run @p retire and expect the staged-translation aliasing guard. */
+template <typename Fn>
+void
+expectAliasPanic(Fn &&retire, const char *what)
+{
+    try {
+        retire();
+    } catch (const std::logic_error &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("staged translation aliased"),
+                  std::string::npos)
+            << what << ": " << error.what();
+        return;
+    }
+    ADD_FAILURE() << what << ": no aliasing panic";
+}
+
+} // namespace
+
+TEST(Mmu, LeafOnlyWalkPanicsOnAliasedStagedRecord)
+{
+    // A walk whose PDE-cache probe hits reads the staged leaf entry
+    // alone, without a radix descent. The guard then checks the
+    // staged record against the memo slot: a wrong physAddr or leaf
+    // entry must panic, not be walked.
+    MmuFixture fixture;
+    fixture.table.map(base, PageSize::Page4K, 0x80000000ULL);
+    fixture.table.map(base + 4_KiB, PageSize::Page4K, 0x80001000ULL);
+    fixture.mmu->translate(base, 0); // fills the PDE cache
+    const VirtAddr vaddr = base + 4_KiB + 8;
+    const Mmu::StagedXlate staged = fixture.mmu->peekTranslate(vaddr);
+
+    expectAliasPanic(
+        [&] {
+            fixture.mmu->translateStaged(vaddr, staged.physAddr + 4_KiB,
+                                         staged.leafEntry,
+                                         staged.pageSize, 100);
+        },
+        "physAddr");
+    expectAliasPanic(
+        [&] {
+            fixture.mmu->translateStaged(vaddr, staged.physAddr,
+                                         staged.leafEntry + 8,
+                                         staged.pageSize, 200);
+        },
+        "leaf entry");
+
+    // The untouched record walks the leaf entry alone: four reads for
+    // the first walk, one for this one.
+    auto event = fixture.mmu->translateStaged(
+        vaddr, staged.physAddr, staged.leafEntry, staged.pageSize, 300);
+    EXPECT_EQ(event.outcome, TlbOutcome::Miss);
+    EXPECT_EQ(event.physAddr, 0x80001008ULL);
+    EXPECT_EQ(fixture.mmu->walker().stats().walks, 2u);
+    EXPECT_EQ(fixture.mmu->walker().stats().levelReads, 5u);
+}
+
+TEST(Mmu, DescendingWalkPanicsOnAliasedStagedRecord)
+{
+    // A walk that reads more than the leaf entry descends the radix
+    // table and checks all three staged values against it: on a cold
+    // walk (no PWC hit), and on a leaf-only walk whose memo slot an
+    // aliasing granule has since taken over.
+    MmuFixture fixture;
+    fixture.table.map(base, PageSize::Page4K, 0x80000000ULL);
+    fixture.table.map(base + 4_KiB, PageSize::Page4K, 0x80001000ULL);
+    // 16K granules (64 MiB) apart: the same direct-mapped memo slot.
+    const VirtAddr alias = base + 4_KiB + 64_MiB;
+    fixture.table.map(alias, PageSize::Page4K, 0x80002000ULL);
+    const Mmu::StagedXlate cold = fixture.mmu->peekTranslate(base);
+
+    expectAliasPanic(
+        [&] {
+            fixture.mmu->translateStaged(base, cold.physAddr + 4_KiB,
+                                         cold.leafEntry, cold.pageSize,
+                                         0);
+        },
+        "cold physAddr");
+    fixture.mmu->flush();
+    expectAliasPanic(
+        [&] {
+            fixture.mmu->translateStaged(base, cold.physAddr,
+                                         cold.leafEntry + 8,
+                                         cold.pageSize, 0);
+        },
+        "cold leaf entry");
+
+    fixture.mmu->flush();
+    fixture.mmu->translate(base, 0); // fills the PDE cache
+    const Mmu::StagedXlate staged =
+        fixture.mmu->peekTranslate(base + 4_KiB);
+    fixture.mmu->peekTranslate(alias); // recycles the memo slot
+    expectAliasPanic(
+        [&] {
+            fixture.mmu->translateStaged(base + 4_KiB, staged.physAddr,
+                                         staged.leafEntry + 8,
+                                         staged.pageSize, 100);
+        },
+        "recycled slot");
 }
 
 TEST(Mmu, WalkCyclesAccumulateAcrossWalkers)

@@ -345,11 +345,12 @@ namespace
 
 /**
  * Naive reference of TlbArray's documented replacement contract:
- * linear scans over (key, lastUse) pairs, no SoA split, no vector
+ * linear scans over (key, lastUse) pairs, no packed recency, no vector
  * scans, no repeat-hit memo. Rules, stated literally: lookup hit
  * refreshes lastUse; insert refreshes a resident key; otherwise the
  * victim is the LAST empty way if any way is empty, else the way with
- * the smallest lastUse (timestamps are unique).
+ * the smallest lastUse (timestamps of resident keys are unique);
+ * invalidate empties the key's way and zeroes its stamp.
  */
 class ReferenceTlbArray
 {
@@ -407,6 +408,20 @@ class ReferenceTlbArray
         lastUse_[base + static_cast<std::uint32_t>(victim)] = clock_;
     }
 
+    void
+    invalidate(std::uint64_t key)
+    {
+        if (sets_ == 0)
+            return;
+        std::uint64_t base = ((key >> 2) % sets_) * ways_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (keys_[base + w] == key) {
+                keys_[base + w] = kEmpty;
+                lastUse_[base + w] = 0;
+            }
+        }
+    }
+
   private:
     static constexpr std::uint64_t kEmpty = ~0ULL;
     std::uint32_t ways_;
@@ -419,12 +434,19 @@ class ReferenceTlbArray
 } // namespace
 
 /**
- * The vectorized lookup/insert paths against the reference, across the
- * geometries the platforms instantiate (set-associative L1/L2 shapes
- * and the small fully-associative arrays). Interleaved lookups and
- * inserts with warm-up, steady-state eviction and re-reference; any
- * divergence in the two-scan victim selection or the repeat-hit memo
- * shows up as a hit/miss mismatch at a concrete step.
+ * The vectorized lookup/insert paths against the reference, across
+ * every TLB and page-walk-cache geometry the platforms instantiate
+ * (set-associative L1/L2 shapes, the fully-associative 1GB arrays and
+ * PWCs, and the 32-entry PDE cache that keeps rank bytes instead of a
+ * packed stack). Interleaved lookups, inserts and shootdowns with
+ * warm-up, steady-state eviction and re-reference; any divergence in
+ * the victim order (the last empty way while a set warms up, or
+ * again after an invalidation, then the LRU way), in the repeat-hit
+ * memo or in the miss memo (half the missed lookups are filled at
+ * once, as the replay path does) shows up as a hit/miss mismatch at
+ * a concrete step.
+ * Runs under every SIMD tier, since the rank-byte updates have a
+ * vector and a scalar form.
  */
 TEST(TlbArray, MatchesReferenceModelAcrossGeometries)
 {
@@ -433,38 +455,60 @@ TEST(TlbArray, MatchesReferenceModelAcrossGeometries)
         std::uint32_t entries, ways;
     };
     constexpr Shape kShapes[] = {
-        {64, 4}, {32, 4}, {4, 4}, {512, 4}, {16, 16}, {32, 0},
+        {64, 4},   {32, 4},  {4, 4}, {512, 4},  {1024, 8},
+        {1536, 12}, {16, 16}, {2, 2}, {32, 32}, {32, 0},
     };
-    for (const auto &shape : kShapes) {
-        TlbArray array(shape.entries, shape.ways);
-        ReferenceTlbArray reference(shape.entries, shape.ways);
-        std::uint64_t state = 0x243f6a8885a308d3ULL ^ shape.entries;
-        auto next = [&state]() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            return state;
-        };
-        std::uint64_t hits = 0, misses = 0;
-        for (int i = 0; i < 50000; ++i) {
-            // Keys over ~2x capacity force evictions; low bits carry a
-            // fake page-size tag as TlbSystem's makeKey does.
-            std::uint64_t key = ((next() % (2 * shape.entries + 3)) << 2) |
-                                (next() % 3);
-            if (next() % 3 == 0) {
-                array.insert(key);
-                reference.insert(key);
-            } else {
-                bool hit = array.lookup(key);
-                ASSERT_EQ(hit, reference.lookup(key))
-                    << "entries=" << shape.entries
-                    << " ways=" << shape.ways << " step " << i;
-                hit ? ++hits : ++misses;
+    struct TierGuard
+    {
+        simd::Tier saved = simd::activeTier();
+        ~TierGuard() { simd::setTier(saved); }
+    } guard;
+    for (simd::Tier tier : {simd::Tier::Scalar, simd::compiledTier()}) {
+        simd::setTier(tier);
+        for (const auto &shape : kShapes) {
+            TlbArray array(shape.entries, shape.ways);
+            ReferenceTlbArray reference(shape.entries, shape.ways);
+            std::uint64_t state = 0x243f6a8885a308d3ULL ^ shape.entries;
+            auto next = [&state]() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                return state;
+            };
+            std::uint64_t hits = 0, misses = 0;
+            for (int i = 0; i < 50000; ++i) {
+                // Keys over ~2x capacity force evictions; low bits
+                // carry a fake page-size tag as TlbSystem's makeKey
+                // does.
+                std::uint64_t key =
+                    ((next() % (2 * shape.entries + 3)) << 2) |
+                    (next() % 3);
+                std::uint64_t op = next() % 16;
+                if (op < 5) {
+                    array.insert(key);
+                    reference.insert(key);
+                } else if (op == 5) {
+                    array.invalidate(key);
+                    reference.invalidate(key);
+                } else {
+                    bool hit = array.lookup(key);
+                    ASSERT_EQ(hit, reference.lookup(key))
+                        << simd::tierName(tier)
+                        << " entries=" << shape.entries
+                        << " ways=" << shape.ways << " step " << i;
+                    hit ? ++hits : ++misses;
+                    if (!hit && op % 2 == 0) {
+                        // The replay path's fill of a key that just
+                        // missed (the miss memo skips its scan).
+                        array.insert(key);
+                        reference.insert(key);
+                    }
+                }
             }
+            EXPECT_EQ(array.hits, hits);
+            EXPECT_EQ(array.misses, misses);
+            EXPECT_GT(hits, 0u);
+            EXPECT_GT(misses, 0u);
         }
-        EXPECT_EQ(array.hits, hits);
-        EXPECT_EQ(array.misses, misses);
-        EXPECT_GT(hits, 0u);
-        EXPECT_GT(misses, 0u);
     }
 }

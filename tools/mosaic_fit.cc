@@ -91,7 +91,8 @@ fitMain(int argc, char **argv)
                 continue;
             if (!dataset.has(platform, workload))
                 continue;
-            auto set = dataset.sampleSet(platform, workload);
+            auto set =
+                dataset.sampleSetResult(platform, workload).okOrThrow();
             if (!set.tlbSensitive())
                 continue;
             std::vector<std::string> cells = {platform, workload};
